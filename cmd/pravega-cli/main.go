@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -43,7 +44,7 @@ func main() {
 	switch args[0] {
 	case "create-scope":
 		need(args, 2)
-		check(sys.CreateScope(args[1]))
+		check(sys.Streams().CreateScope(context.Background(), args[1]))
 		fmt.Println("scope created")
 	case "create-stream":
 		need(args, 4)
@@ -51,7 +52,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("pravega-cli: bad segment count %q", args[3])
 		}
-		check(sys.CreateStream(pravega.StreamConfig{Scope: args[1], Name: args[2], InitialSegments: segs}))
+		check(sys.Streams().Create(context.Background(), pravega.StreamConfig{Scope: args[1], Name: args[2], InitialSegments: segs}))
 		fmt.Println("stream created")
 	case "segments":
 		need(args, 3)
@@ -62,11 +63,11 @@ func main() {
 		need(args, 5)
 		seg, _ := strconv.ParseInt(args[3], 10, 64)
 		factor, _ := strconv.Atoi(args[4])
-		check(sys.ScaleStream(args[1], args[2], seg, factor))
+		check(sys.Streams().Scale(context.Background(), args[1], args[2], seg, factor))
 		fmt.Println("scaled")
 	case "seal-stream":
 		need(args, 3)
-		check(sys.SealStream(args[1], args[2]))
+		check(sys.Streams().Seal(context.Background(), args[1], args[2]))
 		fmt.Println("sealed")
 	case "write":
 		need(args, 5)
@@ -139,7 +140,7 @@ func tail(addr, scope, stream string) {
 	fmt.Println("tailing (ctrl-c to stop)...")
 	for {
 		for qn, off := range offsets {
-			res, err := wc.Read(qn, off, 1<<16, 250*time.Millisecond)
+			res, err := wc.ReadCtx(context.Background(), qn, off, 1<<16, 250*time.Millisecond)
 			check(err)
 			buf := res.Data
 			for len(buf) >= 4 {

@@ -170,7 +170,7 @@ func runAll(listen string, stores, containers, bookies int, ltsDir string, polic
 
 // runCoord hosts the coordination store, the WAL bookie ensemble, and the
 // controller. Segment data lives in store-role processes; the controller
-// reaches them through a RemotePlane that resolves ownership per request.
+// reaches them through a RemotePlane, which routes by the placement epoch.
 func runCoord(listen string, stores, containers, bookies, policyMS int, metrics string, drainTO time.Duration) {
 	meta := cluster.NewStore()
 	total := stores * containers

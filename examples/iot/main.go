@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -30,11 +31,11 @@ func main() {
 	}
 	defer sys.Close()
 
-	if err := sys.CreateScope("iot"); err != nil {
+	if err := sys.Streams().CreateScope(context.Background(), "iot"); err != nil {
 		log.Fatal(err)
 	}
 	// Auto-scale when a segment sustains more than 200 events/s.
-	if err := sys.CreateStream(pravega.StreamConfig{
+	if err := sys.Streams().Create(context.Background(), pravega.StreamConfig{
 		Scope:           "iot",
 		Name:            "telemetry",
 		InitialSegments: 1,
@@ -114,7 +115,7 @@ func main() {
 		if err := w.Flush(); err != nil {
 			log.Fatal(err)
 		}
-		n, _ := sys.SegmentCount("iot", "telemetry")
+		n, _ := sys.Streams().SegmentCount(context.Background(), "iot", "telemetry")
 		fmt.Printf("  stream now has %d parallel segment(s)\n", n)
 	}
 

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -19,10 +20,10 @@ func main() {
 	}
 	defer sys.Close()
 
-	if err := sys.CreateScope("demo"); err != nil {
+	if err := sys.Streams().CreateScope(context.Background(), "demo"); err != nil {
 		log.Fatal(err)
 	}
-	if err := sys.CreateStream(pravega.StreamConfig{
+	if err := sys.Streams().Create(context.Background(), pravega.StreamConfig{
 		Scope:           "demo",
 		Name:            "events",
 		InitialSegments: 2,

@@ -157,9 +157,12 @@ func TestBatchSizeTriggersSend(t *testing.T) {
 
 func TestFlushModeDurabilityCost(t *testing.T) {
 	// With the device model, flush.messages=1 charges an fsync per produce
-	// request while the page-cache path does not.
+	// request while the page-cache path does not. The drives count the
+	// fsyncs they model, which (unlike wall-clock time) does not vary with
+	// machine load.
+	const sends = 20
 	prof := profileForTest()
-	mk := func(flush bool) time.Duration {
+	syncs := func(flush bool) int64 {
 		cl := newTestCluster(t, ClusterConfig{FlushEveryMessage: flush, Profile: prof})
 		if err := cl.CreateTopic("t", 1); err != nil {
 			t.Fatal(err)
@@ -169,23 +172,24 @@ func TestFlushModeDurabilityCost(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer p.Close()
-		start := time.Now()
-		var futures []*SendFuture
-		for i := 0; i < 20; i++ {
-			futures = append(futures, p.Send("k", 100))
-			time.Sleep(time.Millisecond) // one batch per send
-		}
-		for _, f := range futures {
-			if err := f.Wait(); err != nil {
+		for i := 0; i < sends; i++ {
+			// One produce request per send: each is acknowledged before the
+			// next is made.
+			if err := p.Send("k", 100).Wait(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return time.Since(start)
+		var n int64
+		for _, d := range cl.disks {
+			n += d.Syncs()
+		}
+		return n
 	}
-	noFlush := mk(false)
-	withFlush := mk(true)
-	if withFlush < noFlush {
-		t.Fatalf("flush mode (%v) not slower than page cache (%v)", withFlush, noFlush)
+	if n := syncs(false); n != 0 {
+		t.Fatalf("page-cache mode modelled %d fsyncs, want 0", n)
+	}
+	if n := syncs(true); n < sends {
+		t.Fatalf("flush mode modelled %d fsyncs for %d produce requests, want at least one each", n, sends)
 	}
 }
 

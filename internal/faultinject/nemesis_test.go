@@ -83,10 +83,10 @@ func mustStream(t *testing.T, sys *pravega.System, scope, stream string, segment
 	t.Helper()
 	// "Already exists" is success here: a create whose ack the nemesis ate
 	// is retried by the transport after the first attempt applied.
-	if err := sys.CreateScope(scope); err != nil && !errors.Is(err, pravega.ErrScopeExists) {
+	if err := sys.Streams().CreateScope(context.Background(), scope); err != nil && !errors.Is(err, pravega.ErrScopeExists) {
 		t.Fatalf("CreateScope: %v", err)
 	}
-	err := sys.CreateStream(pravega.StreamConfig{Scope: scope, Name: stream, InitialSegments: segments})
+	err := sys.Streams().Create(context.Background(), pravega.StreamConfig{Scope: scope, Name: stream, InitialSegments: segments})
 	if err != nil && !errors.Is(err, pravega.ErrStreamExists) {
 		t.Fatalf("CreateStream: %v", err)
 	}
@@ -358,7 +358,7 @@ func TestLongPollReapedOnConnDrop(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = wc.Read(name, 0, 1024, 30*time.Second)
+		_, _ = wc.ReadCtx(context.Background(), name, 0, 1024, 30*time.Second)
 	}()
 	waitFor := func(want int, what string) {
 		t.Helper()

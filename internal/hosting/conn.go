@@ -103,39 +103,37 @@ func (c *Conn) AppendAsync(segment string, data []byte, writerID string, eventNu
 // refetching.
 func (c *Conn) AppendConditional(segment string, data []byte, expectedOffset int64) (int64, error) {
 	var off int64
-	err := c.cl.retryOp(false, func() error {
-		cont, err := c.cl.ContainerFor(segment)
-		if err != nil {
-			return err
-		}
-		c.oneWay()
+	err := c.onContainer(context.Background(), false, segment, func(cont *segstore.Container) (err error) {
 		off, err = cont.AppendConditional(segment, data, expectedOffset)
-		c.oneWay()
 		return err
 	})
 	return off, err
 }
 
-// Read performs a (long-poll) segment read.
-func (c *Conn) Read(segment string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
-	return c.ReadCtx(context.Background(), segment, offset, maxBytes, wait)
-}
-
-// ReadCtx is Read with cancellation plumbed through to the server-side
-// long-poll: a tail read unblocks as soon as ctx is done.
-func (c *Conn) ReadCtx(ctx context.Context, segment string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
-	var res segstore.ReadResult
-	err := c.cl.retryOp(true, func() error {
+// onContainer runs op on the container owning name, one modelled round
+// trip away, retrying through the cluster's placement router.
+func (c *Conn) onContainer(ctx context.Context, idempotent bool, name string, op func(*segstore.Container) error) error {
+	return c.cl.retry(ctx, idempotent, func() error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cont, err := c.cl.ContainerFor(segment)
+		cont, err := c.cl.ContainerFor(name)
 		if err != nil {
 			return err
 		}
 		c.oneWay()
+		defer c.oneWay()
+		return op(cont)
+	})
+}
+
+// ReadCtx performs a (long-poll) segment read, with cancellation plumbed
+// through to the server-side long-poll: a tail read unblocks as soon as ctx
+// is done.
+func (c *Conn) ReadCtx(ctx context.Context, segment string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
+	var res segstore.ReadResult
+	err := c.onContainer(ctx, true, segment, func(cont *segstore.Container) (err error) {
 		res, err = cont.ReadCtx(ctx, segment, offset, maxBytes, wait)
-		c.oneWay()
 		return err
 	})
 	return res, err
@@ -144,14 +142,8 @@ func (c *Conn) ReadCtx(ctx context.Context, segment string, offset int64, maxByt
 // GetInfo fetches segment metadata.
 func (c *Conn) GetInfo(name string) (segment.Info, error) {
 	var info segment.Info
-	err := c.cl.retryOp(true, func() error {
-		cont, err := c.cl.ContainerFor(name)
-		if err != nil {
-			return err
-		}
-		c.oneWay()
+	err := c.onContainer(context.Background(), true, name, func(cont *segstore.Container) (err error) {
 		info, err = cont.GetInfo(name)
-		c.oneWay()
 		return err
 	})
 	return info, err
@@ -182,14 +174,8 @@ func (c *Conn) Close() error { return nil }
 // reconnection handshake).
 func (c *Conn) WriterState(segment, writerID string) (int64, error) {
 	n := int64(-1)
-	err := c.cl.retryOp(true, func() error {
-		cont, err := c.cl.ContainerFor(segment)
-		if err != nil {
-			return err
-		}
-		c.oneWay()
+	err := c.onContainer(context.Background(), true, segment, func(cont *segstore.Container) (err error) {
 		n, err = cont.WriterState(segment, writerID)
-		c.oneWay()
 		return err
 	})
 	return n, err

@@ -2,6 +2,7 @@ package hosting
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -72,7 +73,7 @@ func verifyOracle(t *testing.T, cl *Cluster, oracle map[string][]byte) {
 	for seg, want := range oracle {
 		var got []byte
 		for len(got) < len(want) {
-			res, err := conn.Read(seg, int64(len(got)), len(want)-len(got), time.Second)
+			res, err := conn.ReadCtx(context.Background(), seg, int64(len(got)), len(want)-len(got), time.Second)
 			if err != nil {
 				t.Fatalf("read %s at %d: %v", seg, len(got), err)
 			}

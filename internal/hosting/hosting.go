@@ -8,17 +8,17 @@
 //
 // Container placement is dynamic (§2.2, §4.4): each store's ownership
 // manager claims containers with lease-backed ephemeral nodes, and the
-// cluster routes through a cached placement table stamped with the
+// cluster routes through a placement.Router snapshot stamped with the
 // placement epoch. Crashing a store orphans its claims; survivors fence
 // the WALs and re-acquire. Tests that need to pin a container to a store
 // (fault-injection crash schedules) set Ownership.Manual.
 package hosting
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/pravega-go/pravega/internal/bookkeeper"
@@ -27,10 +27,10 @@ import (
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/keyspace"
 	"github.com/pravega-go/pravega/internal/lts"
+	"github.com/pravega-go/pravega/internal/placement"
 	"github.com/pravega-go/pravega/internal/segment"
 	"github.com/pravega-go/pravega/internal/segstore"
 	"github.com/pravega-go/pravega/internal/sim"
-	"github.com/pravega-go/pravega/internal/wal"
 )
 
 // OwnershipConfig tunes dynamic container placement for the cluster.
@@ -119,13 +119,9 @@ func (c *ClusterConfig) defaults() {
 	c.Ownership.defaults()
 }
 
-// placementTable is an immutable snapshot of container→store routing, built
-// from the live claim set and stamped with the placement epoch it reflects.
-type placementTable struct {
-	epoch int64
-	byID  map[int]*segstore.Store
-	index map[int]int // container id -> store index (wire ClusterInfo)
-}
+// owners maps container id -> owning store: the table the cluster's
+// placement router snapshots.
+type owners = map[int]*segstore.Store
 
 // Cluster is a running in-process deployment.
 type Cluster struct {
@@ -143,9 +139,7 @@ type Cluster struct {
 	storesByID map[string]*segstore.Store
 	mgrs       map[string]*segstore.OwnershipManager
 
-	placement atomic.Pointer[placementTable]
-	watchStop chan struct{}
-	closeOnce sync.Once
+	router *placement.Router[owners]
 }
 
 // NewCluster builds and starts the deployment.
@@ -168,8 +162,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		storesByID: make(map[string]*segstore.Store),
 		mgrs:       make(map[string]*segstore.OwnershipManager),
 		total:      cfg.Stores * cfg.ContainersPerStore,
-		watchStop:  make(chan struct{}),
 	}
+	cl.router = placement.New(&placement.Snapshot[owners]{}, cl.fetchPlacement)
 
 	for i := 0; i < cfg.Bookies; i++ {
 		bcfg := bookkeeper.BookieConfig{
@@ -232,8 +226,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		for _, m := range cl.mgrs {
 			m.Run()
 		}
-		go cl.watchEpoch()
 	}
+	cl.refresh()
+	go cl.router.Watch(func(done <-chan struct{}, known int64) (int64, error) {
+		return placement.AwaitEpoch(cl.Meta, known, done, 0)
+	})
 	return cl, nil
 }
 
@@ -269,15 +266,17 @@ func (cl *Cluster) addStoreLocked() (*segstore.Store, error) {
 	}
 	cl.stores = append(cl.stores, st)
 	cl.storesByID[id] = st
-	if !cl.cfg.Ownership.Manual {
-		m, err := segstore.StartOwnershipManager(st, segstore.OwnershipConfig{
-			RebalanceInterval: cl.cfg.Ownership.RebalanceInterval,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cl.mgrs[id] = m
+	if cl.cfg.Ownership.Manual {
+		// Registered for ClusterInfo, which lists stores from the live hosts.
+		return st, st.RegisterHost("")
 	}
+	m, err := segstore.StartOwnershipManager(st, segstore.OwnershipConfig{
+		RebalanceInterval: cl.cfg.Ownership.RebalanceInterval,
+	})
+	if err != nil {
+		return nil, err
+	}
+	cl.mgrs[id] = m
 	return st, nil
 }
 
@@ -314,7 +313,6 @@ func (cl *Cluster) AddStore() (*segstore.Store, error) {
 	if m, ok := cl.mgrs[st.ID()]; ok {
 		m.Run()
 	}
-	cl.invalidatePlacement()
 	return st, nil
 }
 
@@ -330,7 +328,7 @@ func (cl *Cluster) CrashStore(i int) error {
 	st := cl.stores[i]
 	cl.mu.Unlock()
 	st.Crash()
-	cl.invalidatePlacement()
+	cl.refresh()
 	return nil
 }
 
@@ -369,95 +367,46 @@ func (cl *Cluster) Bookies() []*bookkeeper.Bookie { return cl.bookies }
 // PlacementEpoch returns the current cluster placement epoch.
 func (cl *Cluster) PlacementEpoch() int64 { return segstore.PlacementEpoch(cl.Meta) }
 
-// watchEpoch invalidates the placement cache whenever the epoch moves, so
-// routing picks up claim changes without waiting for a lookup miss.
-func (cl *Cluster) watchEpoch() {
-	for {
-		ch, err := segstore.WatchPlacementEpoch(cl.Meta)
-		if err != nil {
-			select {
-			case <-cl.watchStop:
-				return
-			case <-time.After(10 * time.Millisecond):
-				continue
-			}
-		}
-		select {
-		case <-cl.watchStop:
-			return
-		case <-ch:
-			cl.invalidatePlacement()
-		}
-	}
+// refresh re-reads the claim set now rather than when the epoch watch
+// catches up, for callers that just changed it.
+func (cl *Cluster) refresh() *placement.Snapshot[owners] {
+	snap, _ := cl.router.Refresh(cl.router.Load().Epoch)
+	return snap
 }
 
-func (cl *Cluster) invalidatePlacement() { cl.placement.Store(nil) }
-
-// loadPlacement returns the cached placement table, rebuilding it from the
-// live claim set when the cache was invalidated.
-func (cl *Cluster) loadPlacement() *placementTable {
-	if t := cl.placement.Load(); t != nil {
-		return t
-	}
-	return cl.rebuildPlacement()
-}
-
-func (cl *Cluster) rebuildPlacement() *placementTable {
+// fetchPlacement builds a snapshot from the live claim set. The epoch is
+// read first, so the snapshot is never stamped newer than its claims.
+func (cl *Cluster) fetchPlacement() (*placement.Snapshot[owners], error) {
 	epoch := segstore.PlacementEpoch(cl.Meta)
 	claims, err := segstore.ClaimedContainers(cl.Meta)
 	if err != nil {
-		claims = nil
+		return nil, err
 	}
+	t := make(owners, len(claims))
 	cl.mu.Lock()
-	t := &placementTable{
-		epoch: epoch,
-		byID:  make(map[int]*segstore.Store, len(claims)),
-		index: make(map[int]int, len(claims)),
-	}
-	for id, owner := range claims {
-		st, ok := cl.storesByID[owner]
-		if !ok {
-			continue
-		}
-		t.byID[id] = st
-		for si, s := range cl.stores {
-			if s == st {
-				t.index[id] = si
-				break
-			}
+	for id, host := range claims {
+		if st, ok := cl.storesByID[host]; ok {
+			t[id] = st
 		}
 	}
 	cl.mu.Unlock()
-	cl.placement.Store(t)
-	return t
-}
-
-// ContainerHomes returns a copy of the container-id → store-index routing
-// table (served to remote clients via the wire protocol's cluster-info
-// request, so they can pool one connection per store).
-func (cl *Cluster) ContainerHomes() map[int]int {
-	t := cl.loadPlacement()
-	out := make(map[int]int, len(t.index))
-	for id, si := range t.index {
-		out[id] = si
-	}
-	return out
+	return &placement.Snapshot[owners]{Epoch: epoch, Table: t}, nil
 }
 
 // StoreForContainer resolves a container id to its current owner. It is
-// fail-fast: a miss rebuilds the table once and then reports
-// client.ErrWrongHost (the caller refreshes and retries, or surfaces the
-// code to a remote client which does the same).
+// fail-fast: a miss refreshes the snapshot once and then reports
+// client.ErrWrongHost (the caller retries, or surfaces the code to a
+// remote client which does the same).
 func (cl *Cluster) StoreForContainer(id int) (*segstore.Store, error) {
-	t := cl.loadPlacement()
-	if st, ok := t.byID[id]; ok {
+	snap := cl.router.Load()
+	if st, ok := snap.Table[id]; ok {
 		return st, nil
 	}
-	t = cl.rebuildPlacement()
-	if st, ok := t.byID[id]; ok {
+	snap, _ = cl.router.Refresh(snap.Epoch)
+	if st, ok := snap.Table[id]; ok {
 		return st, nil
 	}
-	return nil, fmt.Errorf("hosting: container %d has no owner (epoch %d): %w", id, t.epoch, client.ErrWrongHost)
+	return nil, fmt.Errorf("hosting: container %d has no owner (epoch %d): %w", id, snap.Epoch, client.ErrWrongHost)
 }
 
 // StoreFor routes a qualified segment name to its owning store. Transaction
@@ -477,55 +426,36 @@ func (cl *Cluster) ContainerFor(name string) (*segstore.Container, error) {
 	if err != nil {
 		// The claim moved between resolution and the call; refresh so the
 		// next attempt routes correctly.
-		cl.invalidatePlacement()
+		cl.refresh()
 		return nil, err
 	}
 	return c, nil
 }
 
-// transientPlacement reports whether an error means "the container is (or
-// may be) served elsewhere right now" — safe to retry against a fresh
-// placement for any operation, because the operation never started.
-func transientPlacement(err error) bool {
-	return errors.Is(err, client.ErrWrongHost) || errors.Is(err, segstore.ErrWrongContainer)
-}
-
-// transientIdempotent additionally covers failure modes where the operation
-// may have partially started (container shut down mid-call, zombie WAL
-// fenced); only idempotent/read operations retry these.
-func transientIdempotent(err error) bool {
-	return transientPlacement(err) ||
-		errors.Is(err, segstore.ErrContainerDown) ||
-		errors.Is(err, wal.ErrFenced)
-}
-
-// retryOp runs op against the live placement, retrying transient placement
-// errors (and, when idempotent, container-down/fenced errors) until
-// Ownership.ResolveWait elapses. During a failover the claim is briefly
-// unowned; this wait rides it out.
-func (cl *Cluster) retryOp(idempotent bool, op func() error) error {
-	transient := transientPlacement
-	if idempotent {
-		transient = transientIdempotent
-	}
-	wait := cl.cfg.Ownership.ResolveWait
-	deadline := time.Now().Add(wait)
-	for attempt := 0; ; attempt++ {
-		err := op()
-		if err == nil || !transient(err) {
+// onStore runs op on the store owning name through retry.
+func (cl *Cluster) onStore(idempotent bool, name string, op func(*segstore.Store) error) error {
+	return cl.retry(context.Background(), idempotent, func() error {
+		st, err := cl.StoreFor(name)
+		if err != nil {
 			return err
 		}
-		if wait <= 0 || !time.Now().Before(deadline) {
-			return err
-		}
-		cl.invalidatePlacement()
-		time.Sleep(5 * time.Millisecond)
-	}
+		return op(st)
+	})
+}
+
+// retry runs op through the placement router for up to
+// Ownership.ResolveWait, riding out the moment mid-failover when a claim is
+// unowned. Only idempotent operations retry errors that may follow a
+// partial start (container shut down mid-call, zombie WAL fenced).
+func (cl *Cluster) retry(ctx context.Context, idempotent bool, op func() error) error {
+	_, err := cl.router.Retry(ctx, cl.cfg.Ownership.ResolveWait, idempotent,
+		func(*placement.Snapshot[owners]) error { return op() })
+	return err
 }
 
 // Close shuts everything down.
 func (cl *Cluster) Close() {
-	cl.closeOnce.Do(func() { close(cl.watchStop) })
+	cl.router.Close()
 	for _, st := range cl.Stores() {
 		_ = st.Close()
 	}
@@ -541,23 +471,13 @@ var _ controller.DataPlane = (*Cluster)(nil)
 
 // CreateSegment implements controller.DataPlane.
 func (cl *Cluster) CreateSegment(name string) error {
-	return cl.retryOp(false, func() error {
-		st, err := cl.StoreFor(name)
-		if err != nil {
-			return err
-		}
-		return st.CreateSegment(name)
-	})
+	return cl.onStore(false, name, func(st *segstore.Store) error { return st.CreateSegment(name) })
 }
 
 // SealSegment implements controller.DataPlane.
 func (cl *Cluster) SealSegment(name string) (int64, error) {
 	var n int64
-	err := cl.retryOp(false, func() error {
-		st, err := cl.StoreFor(name)
-		if err != nil {
-			return err
-		}
+	err := cl.onStore(false, name, func(st *segstore.Store) (err error) {
 		n, err = st.Seal(name)
 		return err
 	})
@@ -566,24 +486,12 @@ func (cl *Cluster) SealSegment(name string) (int64, error) {
 
 // TruncateSegment implements controller.DataPlane.
 func (cl *Cluster) TruncateSegment(name string, offset int64) error {
-	return cl.retryOp(false, func() error {
-		st, err := cl.StoreFor(name)
-		if err != nil {
-			return err
-		}
-		return st.Truncate(name, offset)
-	})
+	return cl.onStore(false, name, func(st *segstore.Store) error { return st.Truncate(name, offset) })
 }
 
 // DeleteSegment implements controller.DataPlane.
 func (cl *Cluster) DeleteSegment(name string) error {
-	return cl.retryOp(false, func() error {
-		st, err := cl.StoreFor(name)
-		if err != nil {
-			return err
-		}
-		return st.DeleteSegment(name)
-	})
+	return cl.onStore(false, name, func(st *segstore.Store) error { return st.DeleteSegment(name) })
 }
 
 // MergeSegment implements controller.DataPlane: it atomically folds the
@@ -608,7 +516,7 @@ func (cl *Cluster) MergeSegment(target, source string) error {
 // retry reports offset -1.
 func (cl *Cluster) MergeSegmentAt(target, source string) (int64, error) {
 	var off int64
-	err := cl.retryOp(false, func() error {
+	err := cl.retry(context.Background(), false, func() error {
 		var err error
 		off, err = cl.mergeSegmentAtOnce(target, source)
 		return err
@@ -674,11 +582,7 @@ func (cl *Cluster) mergeSegmentAtOnce(target, source string) (int64, error) {
 // SegmentInfo implements controller.DataPlane.
 func (cl *Cluster) SegmentInfo(name string) (segment.Info, error) {
 	var info segment.Info
-	err := cl.retryOp(true, func() error {
-		st, err := cl.StoreFor(name)
-		if err != nil {
-			return err
-		}
+	err := cl.onStore(true, name, func(st *segstore.Store) (err error) {
 		info, err = st.GetInfo(name)
 		return err
 	})
@@ -737,7 +641,7 @@ func (cl *Cluster) CrashContainer(containerID int) error {
 	if err := st.CrashContainer(containerID); err != nil {
 		return err
 	}
-	cl.invalidatePlacement()
+	cl.refresh()
 	return nil
 }
 
@@ -754,7 +658,7 @@ func (cl *Cluster) RestartContainer(storeIdx, containerID int) error {
 	if _, err := st.StartContainer(containerID); err != nil {
 		return err
 	}
-	cl.invalidatePlacement()
+	cl.refresh()
 	return nil
 }
 
@@ -763,12 +667,12 @@ func (cl *Cluster) RestartContainer(storeIdx, containerID int) error {
 func (cl *Cluster) AwaitConverged(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		t := cl.rebuildPlacement()
-		if len(t.byID) == cl.total {
+		t := cl.refresh().Table
+		if len(t) == cl.total {
 			return nil
 		}
 		if !time.Now().Before(deadline) {
-			return fmt.Errorf("hosting: %d/%d containers owned after %v", len(t.byID), cl.total, timeout)
+			return fmt.Errorf("hosting: %d/%d containers owned after %v", len(t), cl.total, timeout)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -189,24 +189,26 @@ func (t *Table) Txn(ops []TxnOp) error {
 	if err != nil {
 		return err
 	}
-	sent := false
 	err = t.sync.Update(func() ([]byte, error) {
-		if sent {
-			return nil, nil // already appended; just catching up
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		// Update calls gen again after an append that failed. The record
+		// is done only if catching up applied it: a conflicting append
+		// landed nothing, so the record goes out again. Each attempt
+		// appends at the tail it just read, so a retry cannot land a copy
+		// of a record an earlier attempt appended.
+		if _, applied := t.outcome[id]; applied {
+			return nil, nil
 		}
 		// Fast-fail conditions that already cannot hold; the authoritative
 		// check still happens at apply time.
-		t.mu.Lock()
 		for _, op := range ops {
 			cur, exists := t.entries[op.Key]
 			if op.Expected == NotExists && exists ||
 				op.Expected >= 0 && (!exists || cur.Version != op.Expected) {
-				t.mu.Unlock()
 				return nil, fmt.Errorf("%w: key %q", ErrVersionMismatch, op.Key)
 			}
 		}
-		t.mu.Unlock()
-		sent = true
 		return rec, nil
 	})
 	if err != nil {

@@ -222,6 +222,40 @@ func TestConcurrentCountersLinearize(t *testing.T) {
 	}
 }
 
+// racedBacking lets a competing writer append just before the first
+// conditional append it forwards, so that append loses with a conflict.
+type racedBacking struct {
+	*memBacking
+	race func()
+	once sync.Once
+}
+
+func (r *racedBacking) AppendConditional(data []byte, expectedOffset int64) (int64, error) {
+	r.once.Do(r.race)
+	return r.memBacking.AppendConditional(data, expectedOffset)
+}
+
+// TestConflictedPutIsResent forces one conditional-append conflict: the
+// losing Put must go out again and commit, not report success or an
+// unknown outcome with nothing appended.
+func TestConflictedPutIsResent(t *testing.T) {
+	b := &memBacking{}
+	other := New(b, 2)
+	tb := New(&racedBacking{memBacking: b, race: func() {
+		if _, err := other.Put("b", []byte("other"), NotExists); err != nil {
+			t.Error(err)
+		}
+	}}, 1)
+	if _, err := tb.Put("a", []byte("mine"), NotExists); err != nil {
+		t.Fatalf("Put after a conflict: %v", err)
+	}
+	for _, k := range []string{"a", "b"} {
+		if _, ok, err := New(b, 3).Get(k); err != nil || !ok {
+			t.Fatalf("key %q after the race: ok=%v err=%v", k, ok, err)
+		}
+	}
+}
+
 func TestKeysAndLen(t *testing.T) {
 	b := &memBacking{}
 	tb := New(b, 1)

@@ -77,11 +77,7 @@ func StartOwnershipManager(st *Store, cfg OwnershipConfig) (*OwnershipManager, e
 	if cfg.RebalanceInterval <= 0 {
 		cfg.RebalanceInterval = 50 * time.Millisecond
 	}
-	cs := st.cfg.Cluster
-	if err := cs.CreateAll(hostsRoot, nil); err != nil && !errors.Is(err, cluster.ErrNodeExists) {
-		return nil, err
-	}
-	if err := st.session.CreateEphemeral(hostsRoot+"/"+st.cfg.ID, []byte(cfg.AdvertiseAddr)); err != nil && !errors.Is(err, cluster.ErrNodeExists) {
+	if err := st.RegisterHost(cfg.AdvertiseAddr); err != nil {
 		return nil, err
 	}
 	m := &OwnershipManager{
@@ -94,6 +90,19 @@ func StartOwnershipManager(st *Store, cfg OwnershipConfig) (*OwnershipManager, e
 	}
 	st.setManager(m)
 	return m, nil
+}
+
+// RegisterHost adds the store to the live-host set, advertising addr (empty
+// when every store shares one listener). The registration lives on the
+// store's session, so it vanishes with the store's claims.
+func (st *Store) RegisterHost(addr string) error {
+	if err := st.cfg.Cluster.CreateAll(hostsRoot, nil); err != nil && !errors.Is(err, cluster.ErrNodeExists) {
+		return err
+	}
+	if err := st.session.CreateEphemeral(hostsRoot+"/"+st.cfg.ID, []byte(addr)); err != nil && !errors.Is(err, cluster.ErrNodeExists) {
+		return err
+	}
+	return nil
 }
 
 // Run starts the manager loop. Call at most once.
@@ -166,15 +175,6 @@ func LiveHosts(cs cluster.Coord) ([]string, map[string]string, error) {
 		addrs[h] = string(data)
 	}
 	return hosts, addrs, nil
-}
-
-// HostAddr returns the advertised wire address of a live host.
-func HostAddr(cs cluster.Coord, id string) (string, error) {
-	data, _, err := cs.Get(hostsRoot + "/" + id)
-	if err != nil {
-		return "", err
-	}
-	return string(data), nil
 }
 
 // ClaimedContainers maps container id -> owning store for every live claim.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -35,6 +36,7 @@ type Disk struct {
 	cfg DiskConfig
 
 	device *TokenBucket // serializes all device traffic
+	syncs  atomic.Int64 // WriteSync calls
 
 	mu       sync.Mutex
 	lastFile *DiskFile // last file the device head touched
@@ -95,6 +97,7 @@ func (d *Disk) seekOverhead(f *DiskFile) time.Duration {
 // serialize through the device, so group commit (aggregating many logical
 // appends into one WriteSync) is rewarded exactly as on real hardware.
 func (f *DiskFile) WriteSync(n int) time.Duration {
+	f.disk.syncs.Add(1)
 	over := f.disk.seekOverhead(f) + f.disk.cfg.SyncLatency
 	return f.disk.device.TakeWithOverhead(n, over)
 }
@@ -163,6 +166,9 @@ func (d *Disk) flushLoop() {
 		d.dirtyMu.Unlock()
 	}
 }
+
+// Syncs returns how many fsync'd writes the drive has modelled.
+func (d *Disk) Syncs() int64 { return d.syncs.Load() }
 
 // DirtyBytes returns the current amount of un-flushed page-cache data.
 func (d *Disk) DirtyBytes() int64 {

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +13,7 @@ import (
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/keyspace"
 	"github.com/pravega-go/pravega/internal/obs"
+	"github.com/pravega-go/pravega/internal/placement"
 	"github.com/pravega-go/pravega/internal/segment"
 	"github.com/pravega-go/pravega/internal/segstore"
 )
@@ -75,32 +74,22 @@ type Client struct {
 	addr string
 	cfg  ClientConfig
 
-	// info is the latest placement snapshot (ClusterInfo + epoch); replaced
-	// wholesale by refreshPlacement, read lock-free on the append path.
-	info atomic.Pointer[ClusterInfo]
+	// router holds the placement snapshot (ClusterInfo + epoch), read
+	// lock-free on the append path. It refreshes over the control
+	// connection; a RemotePlane's refreshes read the coordination store.
+	router *placement.Router[ClusterInfo]
 
 	ctrl *storeConn
 
-	// poolMu guards the store-connection pool, which can grow when a
-	// placement refresh reports more stores. Reads go through storePool.
+	// poolMu guards the store-connection pool, which adopt fits to each
+	// placement snapshot.
 	poolMu sync.Mutex
 	stores []*storeConn
-
-	// refreshMu single-flights placement refreshes: concurrent wrong-host
-	// retries coalesce into one ClusterInfo round trip instead of a storm.
-	refreshMu sync.Mutex
 
 	// dial overrides the transport dialer (fault-injection tests count and
 	// script dials through it); nil means Dial.
 	dial func(addr string) (*Conn, error)
-
-	// epochStop ends the background placement-epoch watcher (closed once).
-	epochStop chan struct{}
-	closeOnce sync.Once
 }
-
-// clusterInfo returns the current placement snapshot.
-func (c *Client) clusterInfo() *ClusterInfo { return c.info.Load() }
 
 // dialServer opens one connection to the given address through the
 // configured dialer.
@@ -115,7 +104,7 @@ func (c *Client) dialServer(addr string) (*Conn, error) {
 // multi-process cluster advertises one address per store (StoreAddrs); the
 // single-process server serves every store behind the bootstrap address.
 func (c *Client) storeAddr(info *ClusterInfo, i int) string {
-	if info != nil && i < len(info.StoreAddrs) && info.StoreAddrs[i] != "" {
+	if i < len(info.StoreAddrs) && info.StoreAddrs[i] != "" {
 		return info.StoreAddrs[i]
 	}
 	return c.addr
@@ -125,6 +114,18 @@ var (
 	_ client.DataTransport    = (*Client)(nil)
 	_ client.ControlTransport = (*Client)(nil)
 )
+
+// decodeClusterInfo parses and validates a MsgClusterInfo reply.
+func decodeClusterInfo(rep Reply) (ClusterInfo, error) {
+	var info ClusterInfo
+	if err := json.Unmarshal(rep.JSON, &info); err != nil {
+		return ClusterInfo{}, fmt.Errorf("wire: cluster info: %w", err)
+	}
+	if info.Stores <= 0 || info.TotalContainers <= 0 {
+		return ClusterInfo{}, fmt.Errorf("wire: bad cluster info (%d stores, %d containers)", info.Stores, info.TotalContainers)
+	}
+	return info, nil
+}
 
 // NewClient dials addr, discovers the cluster layout, and opens one
 // connection per segment store.
@@ -139,63 +140,52 @@ func NewClient(addr string, cfg ClientConfig) (*Client, error) {
 		_ = ctrlConn.Close()
 		return nil, fmt.Errorf("wire: cluster info: %w", err)
 	}
-	var info ClusterInfo
-	if err := json.Unmarshal(rep.JSON, &info); err != nil {
+	info, err := decodeClusterInfo(rep)
+	if err != nil {
 		_ = ctrlConn.Close()
-		return nil, fmt.Errorf("wire: cluster info: %w", err)
+		return nil, err
 	}
-	if info.Stores <= 0 || info.TotalContainers <= 0 {
-		_ = ctrlConn.Close()
-		return nil, fmt.Errorf("wire: bad cluster info (%d stores, %d containers)", info.Stores, info.TotalContainers)
-	}
-	c := &Client{addr: addr, cfg: cfg, epochStop: make(chan struct{})}
-	c.info.Store(&info)
+	c := &Client{addr: addr, cfg: cfg}
 	c.ctrl = newStoreConn(c, ctrlConn, addr)
-	c.stores = make([]*storeConn, info.Stores)
-	for i := range c.stores {
-		saddr := c.storeAddr(&info, i)
-		conn, err := Dial(saddr)
-		if err != nil {
-			_ = c.Close()
-			return nil, err
-		}
-		c.stores[i] = newStoreConn(c, conn, saddr)
+	initial, err := c.adopt(info)
+	if err != nil {
+		c.ctrl.close()
+		c.closePool()
+		return nil, err
 	}
-	go c.watchEpochLoop()
+	c.router = placement.New(initial, c.fetchPlacement)
+	go c.router.Watch(c.awaitEpoch)
 	return c, nil
 }
 
-// refreshPlacement re-requests ClusterInfo when the held snapshot is no
-// newer than staleEpoch. Concurrent callers coalesce: whoever wins the
-// mutex refreshes, the rest observe the fresh snapshot and return. The
-// control connection carries the request, so a refresh never dials — the
-// pool only grows (by dialing) if the store count grew, which is how a
-// placement refresh avoids turning into a reconnect storm.
-func (c *Client) refreshPlacement(staleEpoch int64) error {
-	c.refreshMu.Lock()
-	defer c.refreshMu.Unlock()
-	if cur := c.clusterInfo(); cur != nil && cur.Epoch > staleEpoch {
-		return nil // someone already refreshed past the stale snapshot
-	}
+// fetchPlacement re-requests ClusterInfo for the router. The control
+// connection carries the request, so a refresh never dials a connection
+// that already exists, which is how a placement refresh avoids turning
+// into a reconnect storm.
+func (c *Client) fetchPlacement() (*placement.Snapshot[ClusterInfo], error) {
 	rep, err := c.ctrl.call(MsgClusterInfo, struct{}{})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var info ClusterInfo
-	if err := json.Unmarshal(rep.JSON, &info); err != nil {
-		return fmt.Errorf("wire: cluster info: %w", err)
-	}
-	if info.Stores <= 0 || info.TotalContainers <= 0 {
-		return fmt.Errorf("wire: bad cluster info (%d stores, %d containers)", info.Stores, info.TotalContainers)
+	info, err := decodeClusterInfo(rep)
+	if err != nil {
+		return nil, err
 	}
 	mcPlacementRefreshes.Inc()
+	return c.adopt(info)
+}
+
+// adopt fits the store-connection pool to info and returns the snapshot
+// routing on it. The pool grows (by dialing) only when the store count
+// grew.
+func (c *Client) adopt(info ClusterInfo) (*placement.Snapshot[ClusterInfo], error) {
 	c.poolMu.Lock()
 	for len(c.stores) < info.Stores {
 		saddr := c.storeAddr(&info, len(c.stores))
 		conn, derr := c.dialServer(saddr)
 		if derr != nil {
 			c.poolMu.Unlock()
-			return derr
+			return nil, derr
 		}
 		c.stores = append(c.stores, newStoreConn(c, conn, saddr))
 	}
@@ -213,80 +203,67 @@ func (c *Client) refreshPlacement(staleEpoch int64) error {
 		}
 	}
 	c.poolMu.Unlock()
-	c.info.Store(&info)
 	for _, sc := range drop {
 		sc.close()
 	}
-	return nil
+	return &placement.Snapshot[ClusterInfo]{Epoch: info.Epoch, Table: info}, nil
 }
 
-// watchEpochLoop long-polls the server's placement epoch and refreshes the
-// client's snapshot the moment it advances. This is what lets an IDLE
-// reader re-pin to the new owner after a failover proactively, instead of
-// discovering the move via a wrong-host round trip on its next read.
-func (c *Client) watchEpochLoop() {
-	for {
-		select {
-		case <-c.epochStop:
-			return
-		default:
-		}
-		known := int64(0)
-		if info := c.clusterInfo(); info != nil {
-			known = info.Epoch
-		}
-		rep, err := c.ctrl.call(MsgWatchEpoch, EpochReq{Known: known})
-		if err != nil {
-			if !isDisconnect(err) {
-				// The server doesn't serve epoch watches: fall back to the
-				// reactive wrong-host path for this client's lifetime.
-				return
-			}
-			select {
-			case <-c.epochStop:
-				return
-			case <-time.After(c.cfg.MaxBackoff):
-			}
-			continue
-		}
-		if rep.Count > 0 && rep.Offset > known {
-			_ = c.refreshPlacement(known)
-		}
+// awaitEpoch long-polls the server's placement epoch for the router's
+// watch. This is what lets an IDLE reader re-pin to the new owner after a
+// failover proactively, instead of discovering the move via a wrong-host
+// round trip on its next read.
+func (c *Client) awaitEpoch(_ <-chan struct{}, known int64) (int64, error) {
+	rep, err := c.ctrl.call(MsgWatchEpoch, EpochReq{Known: known})
+	if err != nil && !placement.IsDisconnect(err) {
+		// The server doesn't serve epoch watches: wrong-host replies alone
+		// drive refreshes for this client's lifetime.
+		return 0, fmt.Errorf("wire: epoch watch: %v: %w", err, errors.ErrUnsupported)
 	}
+	return rep.Offset, err
 }
 
 // Close tears down every connection. In-flight operations fail with
 // client.ErrDisconnected.
 func (c *Client) Close() error {
-	c.closeOnce.Do(func() {
-		if c.epochStop != nil {
-			close(c.epochStop)
-		}
-	})
-	c.ctrl.close()
-	c.poolMu.Lock()
-	stores := append([]*storeConn(nil), c.stores...)
-	c.poolMu.Unlock()
-	for _, sc := range stores {
-		if sc != nil {
-			sc.close()
-		}
+	c.router.Close()
+	if c.ctrl != nil {
+		c.ctrl.close()
 	}
+	c.closePool()
 	return nil
 }
 
-// storeFor routes a qualified segment name to its store's connection using
-// the current placement snapshot, the same hash the server-side cluster
-// uses (transaction segments route by their parent's name). A container
-// with no known home (mid-failover snapshot) routes by container id — the
-// server resolves ownership per request anyway, and a wrong-host reply
-// triggers a refresh.
-func (c *Client) storeFor(name string) *storeConn {
-	info := c.clusterInfo()
-	id := keyspace.HashToContainer(segment.RoutingName(name), info.TotalContainers)
+// pool returns a copy of the store-connection pool.
+func (c *Client) pool() []*storeConn {
 	c.poolMu.Lock()
 	defer c.poolMu.Unlock()
-	si, ok := info.ContainerHome[id]
+	return append([]*storeConn(nil), c.stores...)
+}
+
+func (c *Client) closePool() {
+	for _, sc := range c.pool() {
+		sc.close()
+	}
+}
+
+// storeFor routes a qualified segment name to its store's connection using
+// placement snapshot s, the same hash the server-side cluster uses
+// (transaction segments route by their parent's name). A container with no
+// known home (mid-failover snapshot) routes by container id — the server
+// resolves ownership per request anyway, and a wrong-host reply triggers a
+// refresh.
+//
+// It returns nil while the pool is empty, which only a RemotePlane whose
+// cluster has no live store yet can see.
+func (c *Client) storeFor(s *placement.Snapshot[ClusterInfo], name string) *storeConn {
+	id := keyspace.HashToContainer(segment.RoutingName(name), s.Table.TotalContainers)
+	c.poolMu.Lock()
+	defer c.poolMu.Unlock()
+	if len(c.stores) == 0 {
+		return nil
+	}
+	si, ok := s.Table.ContainerHome[id]
 	if !ok || si < 0 || si >= len(c.stores) {
 		si = id % len(c.stores)
 	}
@@ -307,13 +284,33 @@ type storeConn struct {
 	// moment the connection is live again or the storeConn closes, so
 	// waiters wake immediately instead of polling.
 	ready chan struct{}
+
+	// unresolved counts appends submitted through this slot whose callback
+	// has not returned; settled is signalled when it drops to zero. A
+	// replacement connection is published only at zero: the event writer
+	// must have parked every append the old connection lost before a later
+	// append to the same segment can go out, or the later one could be
+	// applied first and the writer's replay would take the lost one for
+	// applied (§3.2).
+	unresolved atomic.Int64
+	settled    chan struct{}
 }
 
 func newStoreConn(c *Client, conn *Conn, addr string) *storeConn {
 	mcConnections.Add(1)
 	ready := make(chan struct{})
 	close(ready) // born connected
-	return &storeConn{c: c, conn: conn, addr: addr, ready: ready}
+	return &storeConn{c: c, conn: conn, addr: addr, ready: ready, settled: make(chan struct{}, 1)}
+}
+
+// resolved records that one append's callback has returned.
+func (sc *storeConn) resolved() {
+	if sc.unresolved.Add(-1) == 0 {
+		select {
+		case sc.settled <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // currentAddr returns the address this slot dials.
@@ -428,6 +425,9 @@ func (sc *storeConn) reconnectLoop() {
 				_ = conn.Close()
 				continue
 			}
+			for sc.unresolved.Load() > 0 {
+				<-sc.settled
+			}
 			sc.mu.Lock()
 			sc.redial = false
 			if sc.closed {
@@ -486,20 +486,6 @@ func (sc *storeConn) acquire(ctx context.Context, deadline time.Time) (*Conn, er
 	}
 }
 
-// isDisconnect reports whether err is a transport failure (as opposed to a
-// server-side error reply) and therefore worth a reconnect-and-retry.
-func isDisconnect(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, client.ErrDisconnected) || errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
-}
-
 func disconnected(err error) error {
 	if errors.Is(err, client.ErrDisconnected) {
 		return err
@@ -507,14 +493,10 @@ func disconnected(err error) error {
 	return fmt.Errorf("%w: %v", client.ErrDisconnected, err)
 }
 
-// call performs one synchronous request, retrying across connection loss
-// within the sync retry window. Safe for every synchronous operation the
-// transport routes through it: reads and metadata are idempotent, and
-// conditional appends are guarded by their expected offset (a lost ack
-// resurfaces as ErrConditionalFailed, which the state synchronizer
-// resolves by refetching, §3.3). The one non-idempotent sync op —
-// MergeSegment — runs its own loop that resolves ambiguous outcomes
-// instead of blindly retrying.
+// call performs one synchronous request on this connection, retrying
+// across connection loss within the sync retry window. It carries the
+// requests that placement does not route: the control plane, cluster info
+// and epoch watches, and the coordination and bookie planes.
 func (sc *storeConn) call(t MessageType, body any) (Reply, error) {
 	deadline := time.Now().Add(sc.c.cfg.SyncRetryWindow)
 	for {
@@ -523,7 +505,7 @@ func (sc *storeConn) call(t MessageType, body any) (Reply, error) {
 			return Reply{}, err
 		}
 		rep, err := conn.Call(t, body)
-		if err != nil && isDisconnect(err) {
+		if placement.IsDisconnect(err) {
 			sc.fault(conn)
 			if time.Now().Before(deadline) {
 				continue
@@ -534,37 +516,62 @@ func (sc *storeConn) call(t MessageType, body any) (Reply, error) {
 	}
 }
 
-// wrongHost reports a placement miss: the operation never started, so a
-// retry against refreshed placement is safe for any operation.
-func wrongHost(err error) bool { return errors.Is(err, client.ErrWrongHost) }
-
-// segCall performs one synchronous segment operation with bounded
-// wrong-host retry: each attempt re-routes through the current placement
-// snapshot, and a wrong-host reply refreshes placement (single-flight, no
-// redial) and backs off. During a failover a container is briefly unowned;
-// this window rides it out without hammering the server.
-func (c *Client) segCall(name string, t MessageType, body any) (Reply, error) {
+// segCall performs one synchronous segment operation through the placement
+// router: each attempt routes on the current snapshot and waits, until the
+// sync retry window ends, for that store's connection. Wrong-host replies
+// and lost connections are retried (placement.Retry); ambiguous reports
+// whether an attempt died with the request sent.
+func (c *Client) segCall(ctx context.Context, name string, t MessageType, body any) (rep Reply, ambiguous bool, err error) {
 	deadline := time.Now().Add(c.cfg.SyncRetryWindow)
-	backoff := 5 * time.Millisecond
-	for {
-		rep, err := c.storeFor(name).call(t, body)
-		if err == nil || !wrongHost(err) {
-			return rep, err
+	ambiguous, err = c.router.Retry(ctx, c.cfg.SyncRetryWindow, true, func(s *placement.Snapshot[ClusterInfo]) error {
+		rep, err = c.attempt(ctx, s, deadline, name, t, body)
+		return err
+	})
+	return rep, ambiguous, err
+}
+
+// attempt sends one request to the store owning name in snapshot s. Reads
+// go out as cancellable long polls: when ctx is done the client sends a
+// cancel for the in-flight request and the server-side wait unblocks
+// immediately.
+func (c *Client) attempt(ctx context.Context, s *placement.Snapshot[ClusterInfo], deadline time.Time, name string, t MessageType, body any) (Reply, error) {
+	sc := c.storeFor(s, name)
+	if sc == nil {
+		return Reply{}, fmt.Errorf("wire: no store serves %s (epoch %d): %w", name, s.Epoch, client.ErrWrongHost)
+	}
+	conn, err := sc.acquire(ctx, deadline)
+	if err != nil {
+		return Reply{}, err
+	}
+	ch, id, err := conn.CallAsync(t, body)
+	if err == nil {
+		if t == MsgRead {
+			mcLongPolls.Add(1)
+			defer mcLongPolls.Add(-1)
 		}
-		if !time.Now().Before(deadline) {
-			return rep, err
+		var rep Reply
+		select {
+		case rep = <-ch:
+		case <-ctx.Done():
+			// The original request always completes (cancellation error, or
+			// failAll on connection loss), so this drain cannot hang.
+			conn.Cancel(id)
+			<-ch
+			return Reply{}, ctx.Err()
 		}
-		mcWrongHostRetries.Inc()
-		staleEpoch := int64(0)
-		if info := c.clusterInfo(); info != nil {
-			staleEpoch = info.Epoch
-		}
-		_ = c.refreshPlacement(staleEpoch)
-		time.Sleep(backoff)
-		if backoff < 100*time.Millisecond {
-			backoff *= 2
+		err = ReplyError(rep)
+		if err == nil {
+			return rep, nil
 		}
 	}
+	if placement.IsDisconnect(err) {
+		sc.fault(conn)
+		return Reply{}, disconnected(err)
+	}
+	if errors.Is(err, client.ErrWrongHost) {
+		mcWrongHostRetries.Inc()
+	}
+	return Reply{}, err
 }
 
 // --- client.DataTransport ---
@@ -574,12 +581,17 @@ func (c *Client) segCall(name string, t MessageType, body any) (Reply, error) {
 // is the event writer's job: it must resend the original batches verbatim
 // for server-side dedup to recognize them (§3.2).
 func (c *Client) AppendAsync(name string, data []byte, writerID string, eventNum int64, eventCount int32, cb func(segstore.AppendResult)) {
-	sc := c.storeFor(name)
+	snap := c.router.Load()
+	sc := c.storeFor(snap, name)
+	sc.unresolved.Add(1)
 	conn := sc.current()
 	if conn == nil {
 		// Deliver on a goroutine: callers may invoke AppendAsync holding the
 		// lock their callback takes.
-		go cb(segstore.AppendResult{Offset: -1, Err: fmt.Errorf("wire: %s: %w", c.addr, client.ErrDisconnected)})
+		go func() {
+			cb(segstore.AppendResult{Offset: -1, Err: fmt.Errorf("wire: %s: %w", c.addr, client.ErrDisconnected)})
+			sc.resolved()
+		}()
 		return
 	}
 	req := AppendReq{
@@ -592,107 +604,54 @@ func (c *Client) AppendAsync(name string, data []byte, writerID string, eventNum
 		mcInflightAppends.Add(-1)
 		mcAppendRTT.RecordSince(start)
 		err := ReplyError(rep)
-		if isDisconnect(err) {
+		if placement.IsDisconnect(err) {
 			sc.fault(conn)
-		} else if wrongHost(err) {
+		} else if errors.Is(err, client.ErrWrongHost) {
 			// Kick a background refresh so the writer's replay routes to the
 			// new owner; the connection itself is healthy — no fault, no
 			// teardown. The writer parks the batch and replays it (§3.2).
-			staleEpoch := int64(0)
-			if info := c.clusterInfo(); info != nil {
-				staleEpoch = info.Epoch
-			}
-			go func() { _ = c.refreshPlacement(staleEpoch) }()
+			go func() { _, _ = c.router.Refresh(snap.Epoch) }()
 		}
 		cb(segstore.AppendResult{Offset: rep.Offset, Err: err})
+		sc.resolved()
 	})
 	if err != nil {
 		mcInflightAppends.Add(-1)
 		sc.fault(conn)
-		go cb(segstore.AppendResult{Offset: -1, Err: disconnected(err)})
+		go func() {
+			cb(segstore.AppendResult{Offset: -1, Err: disconnected(err)})
+			sc.resolved()
+		}()
 	}
 }
 
 // AppendConditional implements the state synchronizer's compare-and-append.
+// A retry after a lost ack is safe: the expected offset guards it, and an
+// applied attempt resurfaces as ErrConditionalFailed, which the
+// synchronizer resolves by refetching (§3.3).
 func (c *Client) AppendConditional(name string, data []byte, expectedOffset int64) (int64, error) {
 	req := AppendReq{Segment: name, Data: data, CondOffset: expectedOffset}
-	rep, err := c.segCall(name, MsgAppend, &req)
+	rep, _, err := c.segCall(context.Background(), name, MsgAppend, &req)
 	if err != nil {
 		return 0, err
 	}
 	return rep.Offset, nil
 }
 
-// Read reads from a segment, long-polling up to wait at the tail.
-func (c *Client) Read(name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
-	return c.ReadCtx(context.Background(), name, offset, maxBytes, wait)
-}
-
-// ReadCtx is Read with the wait cancellable: when ctx is done the client
-// sends a cancel for the in-flight request and the server-side long poll
-// unblocks immediately.
+// ReadCtx reads from a segment, long-polling up to wait at the tail; the
+// wait ends early when ctx is done.
 func (c *Client) ReadCtx(ctx context.Context, name string, offset int64, maxBytes int, wait time.Duration) (segstore.ReadResult, error) {
 	req := ReadReq{Segment: name, Offset: offset, MaxBytes: maxBytes, WaitMS: wait.Milliseconds()}
-	deadline := time.Now().Add(c.cfg.SyncRetryWindow)
-	for {
-		sc := c.storeFor(name)
-		conn, err := sc.acquire(ctx, deadline)
-		if err != nil {
-			return segstore.ReadResult{}, err
-		}
-		ch, id, err := conn.CallAsync(MsgRead, &req)
-		if err != nil {
-			if isDisconnect(err) {
-				sc.fault(conn)
-				if ctx.Err() == nil && time.Now().Before(deadline) {
-					continue
-				}
-				err = disconnected(err)
-			}
-			return segstore.ReadResult{}, err
-		}
-		mcLongPolls.Add(1)
-		var rep Reply
-		select {
-		case rep = <-ch:
-		case <-ctx.Done():
-			// Unblock the server-side wait; the original request always
-			// completes (cancellation error, or failAll on connection loss),
-			// so this drain cannot hang.
-			conn.Cancel(id)
-			<-ch
-			mcLongPolls.Add(-1)
-			return segstore.ReadResult{}, ctx.Err()
-		}
-		mcLongPolls.Add(-1)
-		if rep.Err != "" {
-			err := ReplyError(rep)
-			if isDisconnect(err) {
-				sc.fault(conn)
-				if ctx.Err() == nil && time.Now().Before(deadline) {
-					continue
-				}
-			} else if wrongHost(err) && ctx.Err() == nil && time.Now().Before(deadline) {
-				// Mid-failover: the container has no owner right now. Refresh
-				// placement and retry until the survivors re-acquire it.
-				mcWrongHostRetries.Inc()
-				staleEpoch := int64(0)
-				if info := c.clusterInfo(); info != nil {
-					staleEpoch = info.Epoch
-				}
-				_ = c.refreshPlacement(staleEpoch)
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
-			return segstore.ReadResult{}, err
-		}
-		return segstore.ReadResult{Data: rep.Data, Offset: rep.Offset, EndOfSegment: rep.EOS}, nil
+	rep, _, err := c.segCall(ctx, name, MsgRead, &req)
+	if err != nil {
+		return segstore.ReadResult{}, err
 	}
+	return segstore.ReadResult{Data: rep.Data, Offset: rep.Offset, EndOfSegment: rep.EOS}, nil
 }
 
 // GetInfo fetches segment metadata.
 func (c *Client) GetInfo(name string) (segment.Info, error) {
-	rep, err := c.segCall(name, MsgGetInfo, SegmentReq{Segment: name})
+	rep, _, err := c.segCall(context.Background(), name, MsgGetInfo, SegmentReq{Segment: name})
 	if err != nil {
 		return segment.Info{}, err
 	}
@@ -706,7 +665,7 @@ func (c *Client) GetInfo(name string) (segment.Info, error) {
 // WriterState returns the writer's last recorded event number (§3.2
 // reconnection handshake).
 func (c *Client) WriterState(name, writerID string) (int64, error) {
-	rep, err := c.segCall(name, MsgWriterState, SegmentReq{Segment: name, WriterID: writerID})
+	rep, _, err := c.segCall(context.Background(), name, MsgWriterState, SegmentReq{Segment: name, WriterID: writerID})
 	if err != nil {
 		return 0, err
 	}
@@ -715,7 +674,7 @@ func (c *Client) WriterState(name, writerID string) (int64, error) {
 
 // CreateSegment registers a raw segment.
 func (c *Client) CreateSegment(name string) error {
-	_, err := c.segCall(name, MsgCreateSegment, SegmentReq{Segment: name})
+	_, _, err := c.segCall(context.Background(), name, MsgCreateSegment, SegmentReq{Segment: name})
 	return err
 }
 
@@ -724,72 +683,33 @@ func (c *Client) CreateSegment(name string) error {
 // shadow segments hash identically to their parent, so the pair lands on
 // one store.
 //
-// Merge is not idempotent: if the connection drops after the server
-// applied it but before the ack arrived, a blind retry finds the source
-// gone and reports ErrSegmentNotFound for a commit that succeeded. So it
-// does not go through call's generic retry. It snapshots the source's
-// length up front and runs its own loop: only after at least one
-// disconnected attempt (outcome unknown) does a missing source mean
-// "already merged", and then the merge offset is reconstructed from the
-// target's length.
+// Merge is not idempotent: if an attempt was applied but its ack was lost,
+// the retry finds the source gone and reports ErrSegmentNotFound for a
+// commit that succeeded. placement.Applied recognises that case, and the
+// merge offset is then reconstructed from the target's length, using the
+// source length snapshotted up front.
 func (c *Client) MergeSegment(target, source string) (int64, error) {
-	deadline := time.Now().Add(c.cfg.SyncRetryWindow)
 	srcLen := int64(-1)
 	if info, err := c.GetInfo(source); err == nil {
 		srcLen = info.Length
 	}
-	req := MergeReq{Target: target, Source: source}
-	ambiguous := false
-	for {
-		sc := c.storeFor(target)
-		conn, err := sc.acquire(nil, deadline)
-		if err != nil {
-			return 0, err
+	rep, ambiguous, err := c.segCall(context.Background(), target, MsgMergeSegments, &MergeReq{Target: target, Source: source})
+	if placement.Applied(ambiguous, err, segstore.ErrSegmentNotFound) {
+		// The offset is exact while commits to this target are serialized,
+		// which the controller guarantees per stream segment.
+		info, ierr := c.GetInfo(target)
+		if ierr != nil {
+			return 0, ierr
 		}
-		rep, err := conn.Call(MsgMergeSegments, &req)
-		if err != nil && isDisconnect(err) {
-			// The merge may have been applied before the connection died;
-			// every attempt from here on has an ambiguous predecessor.
-			ambiguous = true
-			sc.fault(conn)
-			if time.Now().Before(deadline) {
-				continue
-			}
-			return 0, disconnected(err)
+		if srcLen >= 0 && info.Length >= srcLen {
+			return info.Length - srcLen, nil
 		}
-		if err != nil {
-			if wrongHost(err) && time.Now().Before(deadline) {
-				// Placement miss: the merge never started, so this retry does
-				// NOT make the outcome ambiguous.
-				mcWrongHostRetries.Inc()
-				staleEpoch := int64(0)
-				if info := c.clusterInfo(); info != nil {
-					staleEpoch = info.Epoch
-				}
-				_ = c.refreshPlacement(staleEpoch)
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
-			if ambiguous && errors.Is(err, segstore.ErrSegmentNotFound) {
-				// Lost-ack resolution: the source vanished after an attempt
-				// whose outcome we never saw, so an earlier try committed the
-				// merge. Recover the offset the ack would have carried from
-				// the target's length (exact while commits to this target are
-				// serialized, which the controller guarantees per stream
-				// segment).
-				info, ierr := c.GetInfo(target)
-				if ierr != nil {
-					return 0, ierr
-				}
-				if srcLen >= 0 && info.Length >= srcLen {
-					return info.Length - srcLen, nil
-				}
-				return info.Length, nil
-			}
-			return 0, err
-		}
-		return rep.Offset, nil
+		return info.Length, nil
 	}
+	if err != nil {
+		return 0, err
+	}
+	return rep.Offset, nil
 }
 
 // --- client.ControlTransport ---

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -12,6 +13,8 @@ import (
 
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/hosting"
+	"github.com/pravega-go/pravega/internal/placement"
+	"github.com/pravega-go/pravega/internal/segstore"
 )
 
 // TestAcquireWakesPromptlyOnReconnect pins the broadcast semantics of
@@ -187,6 +190,115 @@ func TestFailAllDeliversOffCallerGoroutine(t *testing.T) {
 	case <-delivered:
 	case <-time.After(5 * time.Second):
 		t.Fatal("pending callback never delivered after Close")
+	}
+}
+
+// TestReconnectWaitsForLostAppendCallbacks pins the ordering the event
+// writer's replay relies on: while a lost connection's append failures are
+// still being delivered, no replacement connection is published. Otherwise
+// a later append to the same segment can go out (and be applied) on the new
+// connection before the writer has parked the lost one, and its replay
+// then takes the lost append for applied (an acked event that was never
+// written). The held callback stands in for a failure delivery that has not
+// reached the writer yet.
+func TestReconnectWaitsForLostAppendCallbacks(t *testing.T) {
+	// A server that accepts and never replies, so appends stay pending.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- conn
+			go func() { _, _ = io.Copy(io.Discard, conn) }()
+		}
+	}()
+	addr := ln.Addr().String()
+	c := &Client{addr: addr, cfg: ClientConfig{MinBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond, SyncRetryWindow: time.Second}}
+	c.router = placement.New(&placement.Snapshot[ClusterInfo]{Table: ClusterInfo{TotalContainers: 1, Stores: 1}}, nil)
+	conn, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := newStoreConn(c, conn, addr)
+	c.stores = []*storeConn{sc}
+	defer sc.close()
+
+	hold := make(chan struct{})
+	delivered := make(chan struct{}, 2)
+	for _, w := range []string{"w1", "w2"} {
+		c.AppendAsync("s/t/0", []byte("x"), w, 1, 1, func(r segstore.AppendResult) {
+			if r.Err == nil {
+				t.Error("append on a dead connection succeeded")
+			}
+			delivered <- struct{}{}
+			<-hold // the writer has not parked this failure yet
+		})
+	}
+	server := <-accepted
+	_ = server.Close() // lose the connection with both appends in flight
+	<-delivered        // one failure is out: it faulted the slot, redial starts
+
+	time.Sleep(200 * time.Millisecond) // ample time to dial and publish
+	if sc.current() != nil {
+		close(hold)
+		t.Fatal("replacement connection published while a lost append's failure was undelivered")
+	}
+	close(hold)
+	deadline := time.Now().Add(5 * time.Second)
+	for sc.current() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("no replacement connection after every failure was delivered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWriteErrorAfterFailAllDeliversOnce pins that a request whose write
+// fails after the connection's failure sweep already took it is completed
+// once: the sweep delivers the failure, and the send reports success
+// instead of handing the caller a second failure to deliver (an append
+// callback run twice completes the writer's futures twice).
+func TestWriteErrorAfterFailAllDeliversOnce(t *testing.T) {
+	cli, srv := net.Pipe() // writes block until read, then fail on close
+	c := &Conn{conn: cli, wr: bufio.NewWriter(cli), pending: make(map[uint64]*pendingReply)}
+	var deliveries atomic.Int64
+	sent := make(chan error, 1)
+	go func() {
+		sent <- c.CallAsyncFunc(MsgAppend, &AppendReq{Segment: "s/t/0", Data: []byte("x"), CondOffset: -1},
+			func(Reply) { deliveries.Add(1) })
+	}()
+	// Wait for the request to be registered (its write is now blocked).
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c.pendMu.Lock()
+		n := len(c.pending)
+		c.pendMu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("request never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.failAll(io.EOF) // the read side saw the connection die first
+	_ = srv.Close()   // now the blocked write fails
+	if err := <-sent; err != nil {
+		t.Fatalf("CallAsyncFunc = %v after failAll took the request; its failure is already being delivered", err)
+	}
+	for deliveries.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // a second delivery would land by now
+	if n := deliveries.Load(); n != 1 {
+		t.Fatalf("callback delivered %d times, want 1", n)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"github.com/pravega-go/pravega/internal/cluster"
 	"github.com/pravega-go/pravega/internal/obs"
+	"github.com/pravega-go/pravega/internal/placement"
 )
 
 // Process-wide series for remote coordination clients.
@@ -186,7 +187,7 @@ func (rs *RemoteStore) watchLoop(t MessageType, path string, known int64, ch cha
 	for {
 		rep, err := rs.sc.call(t, CoordReq{Path: path, KnownVersion: known})
 		if err != nil {
-			if isDisconnect(err) && !rs.sc.isClosed() {
+			if placement.IsDisconnect(err) && !rs.sc.isClosed() {
 				// Outage outlived the sync retry window: keep the watch alive
 				// across the reconnect. The version baseline closes the
 				// missed-event window.
@@ -197,7 +198,7 @@ func (rs *RemoteStore) watchLoop(t MessageType, path string, known int64, ch cha
 			// deletion IS the event; otherwise give up silently — one-shot
 			// watch channels are buffered and a closed channel reads as fired
 			// for select loops.
-			if t == MsgCoordWatchData && err != nil && !isDisconnect(err) {
+			if t == MsgCoordWatchData && err != nil && !placement.IsDisconnect(err) {
 				ch <- cluster.Event{Type: cluster.EventDeleted, Path: path}
 			}
 			close(ch)
@@ -285,7 +286,7 @@ func (s *RemoteSession) Renew() error {
 		}
 		rep, err := conn.Call(MsgCoordSessionRenew, CoordReq{SessionID: s.id})
 		_ = rep
-		if err != nil && isDisconnect(err) {
+		if err != nil && placement.IsDisconnect(err) {
 			s.rs.sc.fault(conn)
 			if time.Now().Before(deadline) {
 				continue

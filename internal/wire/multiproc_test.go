@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -183,7 +184,7 @@ func TestMultiProcClusterEndToEnd(t *testing.T) {
 		if _, err := c.AppendConditional(name, payload, 0); err != nil {
 			t.Fatalf("append %s: %v", name, err)
 		}
-		rr, err := c.Read(name, 0, 1024, time.Second)
+		rr, err := c.ReadCtx(context.Background(), name, 0, 1024, time.Second)
 		if err != nil {
 			t.Fatalf("read %s: %v", name, err)
 		}
@@ -220,7 +221,7 @@ func TestIdleReaderRepinsViaEpochWatch(t *testing.T) {
 	if _, err := c.AppendConditional(name, payload, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Read(name, 0, 1024, time.Second); err != nil {
+	if _, err := c.ReadCtx(context.Background(), name, 0, 1024, time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -246,7 +247,7 @@ func TestIdleReaderRepinsViaEpochWatch(t *testing.T) {
 	// only the epoch watch riding the coord connection.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		info := c.clusterInfo()
+		info := &c.router.Load().Table
 		if info != nil {
 			if si, ok := info.ContainerHome[cid]; ok && si < len(info.StoreAddrs) && info.StoreAddrs[si] == survivor.srv.Addr() {
 				break
@@ -270,7 +271,7 @@ func TestIdleReaderRepinsViaEpochWatch(t *testing.T) {
 	}
 
 	base := mcWrongHostRetries.Value()
-	rr, err := c.Read(name, 0, 1024, time.Second)
+	rr, err := c.ReadCtx(context.Background(), name, 0, 1024, time.Second)
 	if err != nil {
 		t.Fatalf("post-failover read: %v", err)
 	}
@@ -337,7 +338,7 @@ func TestGracefulStoreShutdownReleasesClaims(t *testing.T) {
 		var rr segstore.ReadResult
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			rr, err = c.Read(name, 0, 1024, time.Second)
+			rr, err = c.ReadCtx(context.Background(), name, 0, 1024, time.Second)
 			if err == nil {
 				break
 			}

@@ -1,16 +1,16 @@
 package wire
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"github.com/pravega-go/pravega/internal/client"
 	"github.com/pravega-go/pravega/internal/cluster"
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/keyspace"
+	"github.com/pravega-go/pravega/internal/placement"
 	"github.com/pravega-go/pravega/internal/segment"
 	"github.com/pravega-go/pravega/internal/segstore"
 )
@@ -68,18 +68,15 @@ func (b StoreBackend) SegmentInfo(name string) (segment.Info, error) {
 }
 
 // RemotePlane is the coord process's data plane: it satisfies
-// controller.DataPlane by resolving each segment's owning store through the
-// (local) coordination store and forwarding the operation to that store
-// process over the wire. Connections are cached per address and reconnect
-// in the background like any other wire connection.
+// controller.DataPlane by forwarding each segment operation over the wire
+// to the store process that owns the segment's container. It routes like
+// a Client — same placement router, connection pool and retry — except
+// that its placement comes from the local coordination store rather than a
+// control connection.
 type RemotePlane struct {
 	meta  *cluster.Store
 	total int
-	cfg   ClientConfig
-	c     *Client // dialer/config holder shared by every cached conn
-
-	mu    sync.Mutex
-	conns map[string]*storeConn
+	c     *Client
 }
 
 var _ controller.DataPlane = (*RemotePlane)(nil)
@@ -87,134 +84,47 @@ var _ controller.DataPlane = (*RemotePlane)(nil)
 // NewRemotePlane builds a data plane over the given coordination store.
 func NewRemotePlane(meta *cluster.Store, totalContainers int, cfg ClientConfig) *RemotePlane {
 	cfg.defaults()
-	return &RemotePlane{
-		meta:  meta,
-		total: totalContainers,
-		cfg:   cfg,
-		c:     &Client{cfg: cfg},
-		conns: make(map[string]*storeConn),
-	}
-}
-
-// Close tears down every cached store connection.
-func (p *RemotePlane) Close() {
-	p.mu.Lock()
-	conns := p.conns
-	p.conns = make(map[string]*storeConn)
-	p.mu.Unlock()
-	for _, sc := range conns {
-		sc.close()
-	}
-}
-
-func (p *RemotePlane) getConn(addr string) (*storeConn, error) {
-	p.mu.Lock()
-	if sc, ok := p.conns[addr]; ok {
-		p.mu.Unlock()
-		return sc, nil
-	}
-	p.mu.Unlock()
-	conn, err := p.c.dialServer(addr)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	if sc, ok := p.conns[addr]; ok {
-		p.mu.Unlock()
-		_ = conn.Close()
-		return sc, nil
-	}
-	sc := newStoreConn(p.c, conn, addr)
-	p.conns[addr] = sc
-	p.mu.Unlock()
-	return sc, nil
-}
-
-// containerOf mirrors the store-side routing hash.
-func (p *RemotePlane) containerOf(name string) int {
-	return keyspace.HashToContainer(segment.RoutingName(name), p.total)
-}
-
-// ownerAddr resolves the wire address of the store owning name's container.
-// cluster.ErrNoNode means the container is unowned right now (mid-failover).
-func (p *RemotePlane) ownerAddr(name string) (string, error) {
-	host, err := segstore.ContainerOwner(p.meta, p.containerOf(name))
-	if err != nil {
-		return "", err
-	}
-	addr, err := segstore.HostAddr(p.meta, host)
-	if err != nil {
-		return "", err
-	}
-	if addr == "" {
-		return "", fmt.Errorf("wire: host %s advertised no address", host)
-	}
-	return addr, nil
-}
-
-// transientPlane reports errors worth re-resolving ownership for: unowned
-// containers (failover in progress), stale claims, and transport loss.
-func transientPlane(err error) bool {
-	return errors.Is(err, cluster.ErrNoNode) ||
-		errors.Is(err, client.ErrWrongHost) ||
-		errors.Is(err, segstore.ErrWrongContainer) ||
-		errors.Is(err, segstore.ErrContainerDown) ||
-		isDisconnect(err)
-}
-
-// planeCall forwards one operation to the current owner of name's
-// container, re-resolving and retrying transient placement errors within
-// the sync retry window. ambiguous reports whether any attempt died on a
-// lost connection after the request may have been applied — callers with
-// non-idempotent operations use it to resolve lost acks.
-func (p *RemotePlane) planeCall(name string, t MessageType, body any) (rep Reply, ambiguous bool, err error) {
-	deadline := time.Now().Add(p.cfg.SyncRetryWindow)
-	backoff := 5 * time.Millisecond
-	for {
-		var addr string
-		addr, err = p.ownerAddr(name)
-		if err == nil {
-			var sc *storeConn
-			sc, err = p.getConn(addr)
-			if err == nil {
-				var conn *Conn
-				conn, err = sc.acquire(nil, deadline)
-				if err == nil {
-					rep, err = conn.Call(t, body)
-					if err == nil || !transientPlane(err) {
-						return rep, ambiguous, err
-					}
-					if isDisconnect(err) {
-						// The request was on the wire: its outcome is unknown.
-						ambiguous = true
-						sc.fault(conn)
-					}
-				}
-			}
+	c := &Client{cfg: cfg}
+	fetch := func() (*placement.Snapshot[ClusterInfo], error) {
+		info, err := CoordClusterInfo(meta, totalContainers)
+		if err != nil {
+			return nil, err
 		}
-		if !time.Now().Before(deadline) {
-			return rep, ambiguous, err
-		}
-		time.Sleep(backoff)
-		if backoff < 100*time.Millisecond {
-			backoff *= 2
-		}
+		return c.adopt(info)
 	}
+	initial, err := fetch()
+	if err != nil {
+		initial = &placement.Snapshot[ClusterInfo]{Table: ClusterInfo{TotalContainers: totalContainers}}
+	}
+	c.router = placement.New(initial, fetch)
+	go c.router.Watch(func(done <-chan struct{}, known int64) (int64, error) {
+		return placement.AwaitEpoch(meta, known, done, 0)
+	})
+	return &RemotePlane{meta: meta, total: totalContainers, c: c}
+}
+
+// Close stops the epoch watch and tears down every store connection.
+func (p *RemotePlane) Close() { _ = p.c.Close() }
+
+// call forwards one operation to the owner of name's container.
+// ambiguous reports whether an attempt may have been applied without its
+// reply arriving (placement.Retry).
+func (p *RemotePlane) call(name string, t MessageType, body any) (Reply, bool, error) {
+	return p.c.segCall(context.Background(), name, t, body)
 }
 
 // --- controller.DataPlane ---
 
 func (p *RemotePlane) CreateSegment(name string) error {
-	_, ambiguous, err := p.planeCall(name, MsgCreateSegment, SegmentReq{Segment: name})
-	if ambiguous && errors.Is(err, segstore.ErrSegmentExists) {
-		// A lost ack on an earlier attempt created it; this create succeeded.
+	_, ambiguous, err := p.call(name, MsgCreateSegment, SegmentReq{Segment: name})
+	if placement.Applied(ambiguous, err, segstore.ErrSegmentExists) {
 		return nil
 	}
 	return err
 }
 
 func (p *RemotePlane) SealSegment(name string) (int64, error) {
-	rep, _, err := p.planeCall(name, MsgSeal, SegmentReq{Segment: name})
+	rep, _, err := p.call(name, MsgSeal, SegmentReq{Segment: name})
 	if err != nil {
 		return 0, err
 	}
@@ -222,13 +132,13 @@ func (p *RemotePlane) SealSegment(name string) (int64, error) {
 }
 
 func (p *RemotePlane) TruncateSegment(name string, offset int64) error {
-	_, _, err := p.planeCall(name, MsgTruncate, SegmentReq{Segment: name, Offset: offset})
+	_, _, err := p.call(name, MsgTruncate, SegmentReq{Segment: name, Offset: offset})
 	return err
 }
 
 func (p *RemotePlane) DeleteSegment(name string) error {
-	_, ambiguous, err := p.planeCall(name, MsgDeleteSegment, SegmentReq{Segment: name})
-	if ambiguous && errors.Is(err, segstore.ErrSegmentNotFound) {
+	_, ambiguous, err := p.call(name, MsgDeleteSegment, SegmentReq{Segment: name})
+	if placement.Applied(ambiguous, err, segstore.ErrSegmentNotFound) {
 		return nil
 	}
 	return err
@@ -237,18 +147,18 @@ func (p *RemotePlane) DeleteSegment(name string) error {
 // MergeSegment commits a transaction segment into its parent. Both route by
 // the parent's name, so one store owns the pair and the merge is a single
 // forwarded operation. A missing source after an ambiguous attempt means an
-// earlier try committed (lost ack) — the merge is treated as applied, the
-// same resolution the external client's MergeSegment uses.
+// earlier try committed (lost ack), the same resolution the external
+// client's MergeSegment uses.
 func (p *RemotePlane) MergeSegment(target, source string) error {
-	_, ambiguous, err := p.planeCall(target, MsgMergeSegments, MergeReq{Target: target, Source: source})
-	if ambiguous && errors.Is(err, segstore.ErrSegmentNotFound) {
+	_, ambiguous, err := p.call(target, MsgMergeSegments, MergeReq{Target: target, Source: source})
+	if placement.Applied(ambiguous, err, segstore.ErrSegmentNotFound) {
 		return nil
 	}
 	return err
 }
 
 func (p *RemotePlane) SegmentInfo(name string) (segment.Info, error) {
-	rep, _, err := p.planeCall(name, MsgGetInfo, SegmentReq{Segment: name})
+	rep, _, err := p.call(name, MsgGetInfo, SegmentReq{Segment: name})
 	if err != nil {
 		return segment.Info{}, err
 	}
@@ -260,33 +170,22 @@ func (p *RemotePlane) SegmentInfo(name string) (segment.Info, error) {
 }
 
 func (p *RemotePlane) OwnerOf(name string) (string, error) {
-	return segstore.ContainerOwner(p.meta, p.containerOf(name))
+	return segstore.ContainerOwner(p.meta, keyspace.HashToContainer(segment.RoutingName(name), p.total))
 }
 
-// LoadReports polls every live store for its per-segment rates. Unreachable
-// stores are skipped — a partial report only delays scaling decisions.
+// LoadReports polls every store in the pool for its per-segment rates.
+// Unreachable stores are skipped — a partial report only delays scaling
+// decisions.
 func (p *RemotePlane) LoadReports() []segstore.SegmentLoad {
-	ids, addrs, err := segstore.LiveHosts(p.meta)
-	if err != nil {
-		return nil
-	}
 	var out []segstore.SegmentLoad
-	for _, h := range ids {
-		addr := addrs[h]
-		if addr == "" {
-			continue
-		}
-		sc, err := p.getConn(addr)
-		if err != nil {
-			continue
-		}
+	for _, sc := range p.c.pool() {
 		conn := sc.current()
 		if conn == nil {
 			continue // reconnecting: skip rather than stall the policy tick
 		}
 		rep, err := conn.Call(MsgLoadReport, struct{}{})
 		if err != nil {
-			if isDisconnect(err) {
+			if placement.IsDisconnect(err) {
 				sc.fault(conn)
 			}
 			continue
@@ -299,12 +198,17 @@ func (p *RemotePlane) LoadReports() []segstore.SegmentLoad {
 	return out
 }
 
-// CoordClusterInfo snapshots placement for client routing in the
-// multi-process cluster: store identities are the sorted live host ids,
-// StoreAddrs carries each one's advertised address, and ContainerHome maps
-// containers to store indices. Hosts and their claims share a session, so
-// a dead store's address and its claims vanish together.
+// CoordClusterInfo snapshots placement for client routing from the
+// coordination store; every server that answers MsgClusterInfo builds its
+// reply here. Store identities are the sorted live host ids and
+// ContainerHome maps containers to their indices. StoreAddrs carries each
+// host's advertised address, and is left empty when no host advertises one
+// (a single-process server, where every store shares its listener). Hosts
+// and their claims share a session, so a dead store's address and its
+// claims vanish together. The epoch is read first, so the snapshot is never
+// stamped newer than the claims it holds.
 func CoordClusterInfo(cs cluster.Coord, totalContainers int) (ClusterInfo, error) {
+	epoch := segstore.PlacementEpoch(cs)
 	ids, addrs, err := segstore.LiveHosts(cs)
 	if err != nil {
 		return ClusterInfo{}, err
@@ -315,9 +219,14 @@ func CoordClusterInfo(cs cluster.Coord, totalContainers int) (ClusterInfo, error
 	}
 	idx := make(map[string]int, len(ids))
 	storeAddrs := make([]string, len(ids))
+	advertised := false
 	for i, h := range ids {
 		idx[h] = i
 		storeAddrs[i] = addrs[h]
+		advertised = advertised || addrs[h] != ""
+	}
+	if !advertised {
+		storeAddrs = nil
 	}
 	home := make(map[int]int, len(claims))
 	for cid, host := range claims {
@@ -330,6 +239,6 @@ func CoordClusterInfo(cs cluster.Coord, totalContainers int) (ClusterInfo, error
 		Stores:          len(ids),
 		ContainerHome:   home,
 		StoreAddrs:      storeAddrs,
-		Epoch:           segstore.PlacementEpoch(cs),
+		Epoch:           epoch,
 	}, nil
 }

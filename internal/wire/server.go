@@ -15,6 +15,7 @@ import (
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/hosting"
 	"github.com/pravega-go/pravega/internal/obs"
+	"github.com/pravega-go/pravega/internal/placement"
 	"github.com/pravega-go/pravega/internal/segment"
 	"github.com/pravega-go/pravega/internal/segstore"
 )
@@ -100,15 +101,8 @@ func NewServer(cl *hosting.Cluster, ctrl *controller.Controller, addr string) (*
 		Data:  cl,
 		Ctrl:  ctrl,
 		Coord: cl.Meta,
-		Info: func() (ClusterInfo, error) {
-			return ClusterInfo{
-				TotalContainers: cl.TotalContainers(),
-				Stores:          len(cl.Stores()),
-				ContainerHome:   cl.ContainerHomes(),
-				Epoch:           cl.PlacementEpoch(),
-			}, nil
-		},
-		Load: cl.LoadReports,
+		Info:  func() (ClusterInfo, error) { return CoordClusterInfo(cl.Meta, cl.TotalContainers()) },
+		Load:  cl.LoadReports,
 	}, addr)
 }
 
@@ -954,33 +948,15 @@ func (s *Server) handleCoordWatch(ctx context.Context, t MessageType, req CoordR
 // epoch exceeds the client's known value, or with the current value after
 // the max wait (Count mirrors whether it advanced).
 func (s *Server) handleWatchEpoch(ctx context.Context, req EpochReq) Reply {
-	cs := s.cfg.Coord
-	deadline := time.Now().Add(coordWatchMaxWait)
-	for {
-		ch, err := segstore.WatchPlacementEpoch(cs)
-		if err != nil {
-			return errReply(err, Reply{})
-		}
-		cur := segstore.PlacementEpoch(cs)
-		if cur > req.Known {
-			return Reply{Offset: cur, Count: 1}
-		}
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return Reply{Offset: cur}
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case <-ch:
-		case <-timer.C:
-			timer.Stop()
-			return Reply{Offset: segstore.PlacementEpoch(cs)}
-		case <-ctx.Done():
-			timer.Stop()
-			return errReply(ctx.Err(), Reply{})
-		}
-		timer.Stop()
+	cur, err := placement.AwaitEpoch(s.cfg.Coord, req.Known, ctx.Done(), coordWatchMaxWait)
+	if err == nil && cur <= req.Known {
+		err = ctx.Err() // cancelled, not expired
 	}
+	rep := Reply{Offset: cur}
+	if cur > req.Known {
+		rep.Count = 1
+	}
+	return errReply(err, rep)
 }
 
 // bookie resolves a served bookie by id, nil when absent.

@@ -549,10 +549,13 @@ func (c *Conn) send(t MessageType, body any, p *pendingReply) (uint64, error) {
 		reg := c.pending[id]
 		delete(c.pending, id)
 		c.pendMu.Unlock()
-		if reg != nil {
-			*reg = pendingReply{}
-			pendingReplyPool.Put(reg)
+		if reg == nil {
+			// failAll took the entry first and delivers its failure;
+			// reporting the error here too would complete it twice.
+			return id, nil
 		}
+		*reg = pendingReply{}
+		pendingReplyPool.Put(reg)
 		return 0, err
 	}
 	return id, nil

@@ -59,7 +59,7 @@ func (b *kvBacking) AppendConditional(data []byte, expectedOffset int64) (int64,
 }
 
 func (b *kvBacking) Read(offset int64, maxBytes int) ([]byte, error) {
-	res, err := b.conn.Read(b.segment, offset, maxBytes, 0)
+	res, err := b.conn.ReadCtx(context.TODO(), b.segment, offset, maxBytes, 0)
 	if err != nil {
 		return nil, err
 	}

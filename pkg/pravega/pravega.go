@@ -23,7 +23,6 @@
 package pravega
 
 import (
-	"context"
 	"errors"
 	"time"
 
@@ -279,20 +278,6 @@ func (s *System) Cluster() *hosting.Cluster { return s.cluster }
 // System opened with Connect.
 func (s *System) Controller() *controller.Controller { return s.ctrl }
 
-// CreateScope registers a stream namespace.
-//
-// Deprecated: use Streams().CreateScope, which takes a context.
-func (s *System) CreateScope(scope string) error {
-	return s.Streams().CreateScope(context.Background(), scope)
-}
-
-// CreateStream creates a stream.
-//
-// Deprecated: use Streams().Create, which takes a context.
-func (s *System) CreateStream(cfg StreamConfig) error {
-	return s.Streams().Create(context.Background(), cfg)
-}
-
 func toInternalScaling(p ScalingPolicy) controller.ScalingPolicy {
 	return controller.ScalingPolicy{
 		Type:        controller.ScalingType(orDefault(string(p.Type), string(ScalingFixed))),
@@ -307,48 +292,6 @@ func orDefault(v, d string) string {
 		return d
 	}
 	return v
-}
-
-// UpdateStreamPolicies replaces a stream's policies at runtime (§2.1).
-//
-// Deprecated: use Streams().UpdatePolicies, which takes a context.
-func (s *System) UpdateStreamPolicies(scope, stream string, scaling *ScalingPolicy, retention *RetentionPolicy) error {
-	return s.Streams().UpdatePolicies(context.Background(), scope, stream, scaling, retention)
-}
-
-// SealStream makes a stream read-only.
-//
-// Deprecated: use Streams().Seal, which takes a context.
-func (s *System) SealStream(scope, stream string) error {
-	return s.Streams().Seal(context.Background(), scope, stream)
-}
-
-// DeleteStream removes a sealed stream.
-//
-// Deprecated: use Streams().Delete, which takes a context.
-func (s *System) DeleteStream(scope, stream string) error {
-	return s.Streams().Delete(context.Background(), scope, stream)
-}
-
-// SegmentCount reports the stream's current parallelism.
-//
-// Deprecated: use Streams().SegmentCount, which takes a context.
-func (s *System) SegmentCount(scope, stream string) (int, error) {
-	return s.Streams().SegmentCount(context.Background(), scope, stream)
-}
-
-// ScaleStream manually splits one active segment into factor successors.
-//
-// Deprecated: use Streams().Scale, which takes a context.
-func (s *System) ScaleStream(scope, stream string, segmentNumber int64, factor int) error {
-	return s.Streams().Scale(context.Background(), scope, stream, segmentNumber, factor)
-}
-
-// TruncateStreamAtTail truncates the whole stream history up to "now".
-//
-// Deprecated: use Streams().Truncate, which takes a context.
-func (s *System) TruncateStreamAtTail(scope, stream string) error {
-	return s.Streams().Truncate(context.Background(), scope, stream)
 }
 
 // routeTable is the writer's view of a stream's active segments.

@@ -1,6 +1,7 @@
 package pravega
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -146,7 +147,7 @@ func (b *rgBacking) AppendConditional(data []byte, expectedOffset int64) (int64,
 }
 
 func (b *rgBacking) Read(offset int64, maxBytes int) ([]byte, error) {
-	res, err := b.conn.Read(b.segment, offset, maxBytes, 0)
+	res, err := b.conn.ReadCtx(context.TODO(), b.segment, offset, maxBytes, 0)
 	if err != nil {
 		return nil, err
 	}

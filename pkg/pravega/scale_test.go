@@ -1,11 +1,15 @@
 package pravega
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/pravega-go/pravega/internal/client"
 	"github.com/pravega-go/pravega/internal/controller"
 	"github.com/pravega-go/pravega/internal/keyspace"
 )
@@ -75,6 +79,111 @@ func TestScaleDownBarrier(t *testing.T) {
 			t.Fatalf("key %s: %d after %d — merge barrier violated", parts[0], seq, prev)
 		}
 		lastSeen[parts[0]] = seq
+	}
+}
+
+// heldSuccessors blocks GetSuccessors for one segment until release
+// closes, holding that segment's seal resolution open in the writer.
+type heldSuccessors struct {
+	client.ControlTransport
+	seg     int64
+	release chan struct{}
+}
+
+func (h *heldSuccessors) GetSuccessors(scope, stream string, seg int64) ([]controller.SuccessorRecord, error) {
+	if seg == h.seg {
+		<-h.release
+	}
+	return h.ControlTransport.GetSuccessors(scope, stream, seg)
+}
+
+// TestScaleDownKeyWaitsForUnresolvedPredecessor pins the writer's half of
+// §3.3's per-key order across a scale-down: when one sealed predecessor
+// resolves first, an event for a key of the other, still-unresolved
+// predecessor must queue behind that predecessor's parked events instead
+// of going straight to the merged successor.
+func TestScaleDownKeyWaitsForUnresolvedPredecessor(t *testing.T) {
+	sys := newTestSystem(t)
+	mustCreate(t, sys, "hold", "s", 2)
+	segs, err := sys.Controller().GetActiveSegments("hold", "s")
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("segments: %v, %v", segs, err)
+	}
+	// keyIn picks a routing key that hashes into seg's range.
+	keyIn := func(seg controller.SegmentWithRange) string {
+		for i := 0; ; i++ {
+			if k := fmt.Sprintf("key-%d", i); seg.KeyRange.Contains(keyspace.HashKey(k)) {
+				return k
+			}
+		}
+	}
+	held, free := segs[1], segs[0]
+	heldKey, freeKey := keyIn(held), keyIn(free)
+
+	gate := &heldSuccessors{ControlTransport: sys.control, seg: held.ID.Number, release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	t.Cleanup(release)
+	sys.control = gate
+	w, err := sys.NewWriter(WriterConfig{Scope: "hold", Stream: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{heldKey, freeKey} {
+		if err := w.WriteEvent(k, []byte(k+":0")).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	merged, err := keyspace.Merge(segs[0].KeyRange, segs[1].KeyRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Controller().Scale("hold", "s", []int64{free.ID.Number, held.ID.Number}, []keyspace.Range{merged}); err != nil {
+		t.Fatalf("merge scale: %v", err)
+	}
+	// heldKey:1 hits the sealed segment and parks while its seal resolution
+	// is held open; freeKey:1 resolves the other predecessor and lands in
+	// the successor, moving the writer's route table past both.
+	first := w.WriteEvent(heldKey, []byte(heldKey+":1"))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := w.WriteEvent(freeKey, []byte(freeKey+":1")).WaitCtx(ctx); err != nil {
+		t.Fatalf("%s:1 while %s's seal resolution is held: %v", freeKey, heldKey, err)
+	}
+	second := w.WriteEvent(heldKey, []byte(heldKey+":2"))
+	release()
+	for _, f := range []*WriteFuture{first, second} {
+		if err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rg, err := sys.NewReaderGroup("rg-hold", "hold", "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := rg.NewReader("r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var got []string
+	for len(got) < 3 {
+		ev, err := r.ReadNextEvent(3 * time.Second)
+		if err != nil {
+			t.Fatalf("read after %v: %v", got, err)
+		}
+		if strings.HasPrefix(string(ev.Data), heldKey+":") {
+			got = append(got, string(ev.Data))
+		}
+	}
+	want := []string{heldKey + ":0", heldKey + ":1", heldKey + ":2"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("key %s read as %v, want %v", heldKey, got, want)
 	}
 }
 
@@ -190,11 +299,11 @@ func TestSegmentCountAfterRepeatedScaling(t *testing.T) {
 			t.Fatal(err)
 		}
 		target := segs[0]
-		if err := sys.ScaleStream("multi", "s", target.ID.Number, 2); err != nil {
+		if err := sys.Streams().Scale(context.Background(), "multi", "s", target.ID.Number, 2); err != nil {
 			t.Fatal(err)
 		}
 		want++
-		if n, _ := sys.SegmentCount("multi", "s"); n != want {
+		if n, _ := sys.Streams().SegmentCount(context.Background(), "multi", "s"); n != want {
 			t.Fatalf("round %d: %d segments, want %d", round, n, want)
 		}
 	}

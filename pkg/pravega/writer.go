@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -102,7 +103,6 @@ type pendingEvent struct {
 	hash   float64
 	data   []byte
 	future *WriteFuture
-	seq    int64
 }
 
 // EventWriter appends events to a stream with per-routing-key order and
@@ -120,7 +120,11 @@ type EventWriter struct {
 	mu      sync.Mutex
 	route   routeTable
 	writers map[int64]*segmentWriter
-	closed  bool
+	// stale holds the writers whose segments left the route table before
+	// their seal resolved: a scale that sealed several segments is
+	// resolved one predecessor at a time (§3.3).
+	stale  []*segmentWriter
+	closed bool
 
 	eventSeq   atomic.Int64
 	bytesAcked atomic.Int64
@@ -167,7 +171,6 @@ func (w *EventWriter) WriteEvent(routingKey string, event []byte) *WriteFuture {
 		hash:   keyspace.HashKey(routingKey),
 		data:   event,
 		future: f,
-		seq:    w.eventSeq.Add(1),
 	}
 	w.mu.Lock()
 	if w.closed {
@@ -184,6 +187,14 @@ func (w *EventWriter) WriteEvent(routingKey string, event []byte) *WriteFuture {
 // enqueueLocked routes one pending event to its segment writer. Caller
 // holds w.mu.
 func (w *EventWriter) enqueueLocked(pe pendingEvent) {
+	// An event whose key lies in a stale predecessor that still holds
+	// events queues behind them: routed straight to the successor, it would
+	// overtake them there and break per-key order.
+	for _, old := range w.stale {
+		if old.seg.KeyRange.Contains(pe.hash) && old.addIfBusy(pe) {
+			return
+		}
+	}
 	seg, err := w.route.segmentFor(pe.hash)
 	if err != nil {
 		pe.future.complete(err)
@@ -320,15 +331,14 @@ type segmentWriter struct {
 
 // batchRec is one sent batch retained for replay across a transport
 // disconnect. Replay must resend the original batches verbatim — never
-// merged or split — because the server deduplicates at batch granularity:
-// its writer attribute records the last event number of the last applied
-// batch (§3.2).
+// merged or split, same number — because the server deduplicates at batch
+// granularity: its writer attribute records the event number of the last
+// applied batch (§3.2).
 type batchRec struct {
 	events  []pendingEvent
 	payload int64
+	num     int64
 }
-
-func (b batchRec) lastNum() int64 { return b.events[len(b.events)-1].seq }
 
 func newSegmentWriter(w *EventWriter, seg controller.SegmentWithRange) *segmentWriter {
 	sw := &segmentWriter{w: w, seg: seg}
@@ -353,6 +363,21 @@ func (sw *segmentWriter) add(pe pendingEvent) {
 	sw.mu.Unlock()
 }
 
+// addIfBusy adds the event like add, but only while the writer still has
+// events queued, in flight or parked; it reports whether it took the
+// event. A writer resolving its seal holds the rejected events in
+// redirect, so it counts as busy until the resolution re-routes them.
+func (sw *segmentWriter) addIfBusy(pe pendingEvent) bool {
+	sw.mu.Lock()
+	busy := sw.recovering || sw.inflight > 0 || len(sw.batch) > 0 ||
+		len(sw.held) > 0 || len(sw.redirect) > 0 || len(sw.retry) > 0
+	sw.mu.Unlock()
+	if busy {
+		sw.add(pe)
+	}
+	return busy
+}
+
 // trySendLocked ships the open batch when a pipeline slot is available.
 // Oversized batches ship on extra slots rather than stalling. Caller holds
 // sw.mu.
@@ -375,7 +400,11 @@ func (sw *segmentWriter) trySendLocked() {
 	sw.batch = nil
 	sw.batchSize = 0
 	sw.inflight++
-	sw.sendBatch(events)
+	// Numbers are drawn when a batch is first sent, so every segment sees
+	// them rise: events re-routed to a successor after a seal are numbered
+	// above anything already sent there. Numbers drawn at WriteEvent would
+	// fall below those, and the successor's dedup would discard the events.
+	sw.sendBatch(events, sw.w.eventSeq.Add(int64(len(events))))
 }
 
 // transientAppendErr reports append/handshake failures the writer resolves
@@ -392,24 +421,24 @@ func transientAppendErr(err error) bool {
 		errors.Is(err, wal.ErrFenced)
 }
 
-// sendBatch serializes and ships one batch (caller holds sw.mu).
-func (sw *segmentWriter) sendBatch(events []pendingEvent) {
+// sendBatch serializes and ships one batch numbered num (caller holds
+// sw.mu).
+func (sw *segmentWriter) sendBatch(events []pendingEvent, num int64) {
 	buf := make([]byte, 0, 4096)
 	var payload int64
 	for _, pe := range events {
 		buf = appendEventFrame(buf, pe.data)
 		payload += int64(len(pe.data))
 	}
-	lastNum := events[len(events)-1].seq
 	start := time.Now()
-	sw.w.conn.AppendAsync(sw.seg.ID.QualifiedName(), buf, sw.w.cfg.ID, lastNum, int32(len(events)), func(r segstore.AppendResult) {
+	sw.w.conn.AppendAsync(sw.seg.ID.QualifiedName(), buf, sw.w.cfg.ID, num, int32(len(events)), func(r segstore.AppendResult) {
 		sw.w.observeRTT(time.Since(start))
-		sw.onBatchResult(events, payload, r)
+		sw.onBatchResult(events, payload, num, r)
 	})
 }
 
 // onBatchResult handles one batch acknowledgement.
-func (sw *segmentWriter) onBatchResult(events []pendingEvent, payload int64, r segstore.AppendResult) {
+func (sw *segmentWriter) onBatchResult(events []pendingEvent, payload, num int64, r segstore.AppendResult) {
 	switch {
 	case r.Err == nil:
 		sw.w.bytesAcked.Add(payload)
@@ -439,7 +468,7 @@ func (sw *segmentWriter) onBatchResult(events []pendingEvent, payload int64, r s
 		if startRecover {
 			go sw.recover()
 		} else if resolved {
-			sw.resolveSeal()
+			go sw.resolveSeal()
 		}
 	case errors.Is(r.Err, segstore.ErrSegmentSealed):
 		sw.mu.Lock()
@@ -455,7 +484,7 @@ func (sw *segmentWriter) onBatchResult(events []pendingEvent, payload int64, r s
 		if startRecover {
 			go sw.recover()
 		} else if resolved {
-			sw.resolveSeal()
+			go sw.resolveSeal()
 		}
 	case transientAppendErr(r.Err):
 		// The transport lost its connection, or the container moved under a
@@ -468,7 +497,7 @@ func (sw *segmentWriter) onBatchResult(events []pendingEvent, payload int64, r s
 		// whichever way the ambiguity resolved (§3.2 reconnection
 		// handshake).
 		sw.mu.Lock()
-		sw.retry = append(sw.retry, batchRec{events: events, payload: payload})
+		sw.retry = append(sw.retry, batchRec{events: events, payload: payload, num: num})
 		sw.inflight--
 		start := sw.inflight == 0 && !sw.recovering
 		if start {
@@ -495,7 +524,7 @@ func (sw *segmentWriter) onBatchResult(events []pendingEvent, payload int64, r s
 		if startRecover {
 			go sw.recover()
 		} else if resolved {
-			sw.resolveSeal()
+			go sw.resolveSeal()
 		}
 	}
 }
@@ -547,9 +576,9 @@ func (sw *segmentWriter) recover() {
 	sw.mu.Unlock()
 	// Completion callbacks can arrive out of order across a disconnect;
 	// replay must be oldest-first.
-	sort.Slice(recs, func(i, j int) bool { return recs[i].lastNum() < recs[j].lastNum() })
+	sort.Slice(recs, func(i, j int) bool { return recs[i].num < recs[j].num })
 	for _, rec := range recs {
-		if rec.lastNum() <= attr {
+		if rec.num <= attr {
 			// Applied before the connection died — only the ack was lost.
 			w.bytesAcked.Add(rec.payload)
 			for _, pe := range rec.events {
@@ -559,7 +588,7 @@ func (sw *segmentWriter) recover() {
 		}
 		sw.mu.Lock()
 		sw.inflight++
-		sw.sendBatch(rec.events)
+		sw.sendBatch(rec.events, rec.num)
 		sw.mu.Unlock()
 	}
 
@@ -584,10 +613,11 @@ func (sw *segmentWriter) recover() {
 }
 
 // resolveSeal runs once all in-flight batches of a sealed segment have
-// resolved: it fetches the successors (which, per the controller-writer
-// protocol of Fig. 2b, were created before the segment was sealed),
-// refreshes the route table, and re-routes the failed and parked events in
-// their original order.
+// resolved, on its own goroutine: its control-plane calls must not block
+// the transport's callback goroutine (client.DataTransport). It fetches
+// the successors (which, per the controller-writer protocol of Fig. 2b,
+// were created before the segment was sealed), refreshes the route table,
+// and re-routes the failed and parked events in their original order.
 func (sw *segmentWriter) resolveSeal() {
 	w := sw.w
 	// Fetch the successors. Per the controller-writer protocol (Fig. 2b)
@@ -623,6 +653,12 @@ func (sw *segmentWriter) resolveSeal() {
 	w.mu.Lock()
 	w.route.segments = segs
 	delete(w.writers, sw.seg.ID.Number)
+	w.stale = nil
+	for n, other := range w.writers {
+		if !slices.ContainsFunc(segs, func(s controller.SegmentWithRange) bool { return s.ID.Number == n }) {
+			w.stale = append(w.stale, other)
+		}
+	}
 	sw.mu.Lock()
 	pending := append(sw.redirect, sw.batch...)
 	pending = append(pending, sw.held...)
