@@ -59,6 +59,7 @@ type blockMeta struct {
 
 // buffer is one contiguous pre-allocated region with a local free list.
 type buffer struct {
+	idx       int // position in Cache.buffers
 	mu        sync.Mutex
 	data      []byte
 	meta      []blockMeta
@@ -90,25 +91,25 @@ func (c *Cache) addressOf(bufIdx, blockIdx int) Address {
 	return Address(uint32(bufIdx)*uint32(c.cfg.BlocksPerBuffer) + uint32(blockIdx) + 1)
 }
 
-// locate decodes an address.
-func (c *Cache) locate(a Address) (bufIdx, blockIdx int, err error) {
+// block decodes an address into its buffer and block index, taking c.mu
+// once.
+func (c *Cache) block(a Address) (*buffer, int, error) {
 	if a == NilAddress {
-		return 0, 0, ErrBadAddress
+		return nil, 0, ErrBadAddress
 	}
-	v := uint32(a) - 1
-	bufIdx = int(v) / c.cfg.BlocksPerBuffer
-	blockIdx = int(v) % c.cfg.BlocksPerBuffer
+	v := int(uint32(a) - 1)
+	bi, blk := v/c.cfg.BlocksPerBuffer, v%c.cfg.BlocksPerBuffer
 	c.mu.Lock()
-	n := len(c.buffers)
-	c.mu.Unlock()
-	if bufIdx >= n {
-		return 0, 0, ErrBadAddress
+	defer c.mu.Unlock()
+	if bi >= len(c.buffers) {
+		return nil, 0, ErrBadAddress
 	}
-	return bufIdx, blockIdx, nil
+	return c.buffers[bi], blk, nil
 }
 
-func newBuffer(cfg Config) *buffer {
+func newBuffer(cfg Config, idx int) *buffer {
 	b := &buffer{
+		idx:       idx,
 		data:      make([]byte, cfg.BlockSize*cfg.BlocksPerBuffer),
 		meta:      make([]blockMeta, cfg.BlocksPerBuffer),
 		freeCount: cfg.BlocksPerBuffer,
@@ -123,15 +124,15 @@ func newBuffer(cfg Config) *buffer {
 
 // allocBlock finds a free block, preferring buffers already in the
 // availability queue, growing the buffer set up to MaxBuffers.
-func (c *Cache) allocBlock() (bufIdx, blockIdx int, err error) {
+func (c *Cache) allocBlock() (*buffer, int, error) {
 	c.mu.Lock()
 	for {
 		if len(c.avail) == 0 {
 			if len(c.buffers) >= c.cfg.MaxBuffers {
 				c.mu.Unlock()
-				return 0, 0, ErrCacheFull
+				return nil, 0, ErrCacheFull
 			}
-			c.buffers = append(c.buffers, newBuffer(c.cfg))
+			c.buffers = append(c.buffers, newBuffer(c.cfg, len(c.buffers)))
 			c.availSet = append(c.availSet, true)
 			c.avail = append(c.avail, len(c.buffers)-1)
 		}
@@ -163,28 +164,49 @@ func (c *Cache) allocBlock() (bufIdx, blockIdx int, err error) {
 			c.availSet[bi] = false
 		}
 		c.mu.Unlock()
-		return bi, int(idx), nil
+		return b, int(idx), nil
 	}
 }
 
-// freeBlock returns a block to its buffer's free list.
-func (c *Cache) freeBlock(bufIdx, blockIdx int) {
+// freeChain frees the blocks of a chain from a back to, but not including,
+// stop, and returns the bytes they held. Buffers that regained free blocks
+// are queued for allocation under one c.mu at the end.
+func (c *Cache) freeChain(a, stop Address) (int64, error) {
+	var freed int64
+	var touched []*buffer
+	var err error
+	for a != stop {
+		b, blk, berr := c.block(a)
+		if berr != nil {
+			err = berr
+			break
+		}
+		b.mu.Lock()
+		m := b.meta[blk]
+		if !m.used {
+			b.mu.Unlock()
+			err = ErrEntryDeleted
+			break
+		}
+		b.meta[blk] = blockMeta{next: b.freeHead}
+		b.freeHead = int32(blk)
+		b.freeCount++
+		b.mu.Unlock()
+		freed += int64(m.length)
+		if len(touched) == 0 || touched[len(touched)-1] != b {
+			touched = append(touched, b)
+		}
+		a = m.prev
+	}
 	c.mu.Lock()
-	b := c.buffers[bufIdx]
-	c.mu.Unlock()
-
-	b.mu.Lock()
-	b.meta[blockIdx] = blockMeta{next: b.freeHead}
-	b.freeHead = int32(blockIdx)
-	b.freeCount++
-	b.mu.Unlock()
-
-	c.mu.Lock()
-	if !c.availSet[bufIdx] {
-		c.availSet[bufIdx] = true
-		c.avail = append(c.avail, bufIdx)
+	for _, b := range touched {
+		if !c.availSet[b.idx] {
+			c.availSet[b.idx] = true
+			c.avail = append(c.avail, b.idx)
+		}
 	}
 	c.mu.Unlock()
+	return freed, err
 }
 
 // Insert stores data as a new entry and returns its address (the address of
@@ -205,98 +227,61 @@ func (c *Cache) Append(addr Address, data []byte) (Address, error) {
 
 // appendChain extends (or creates) an entry chain atomically: a mid-way
 // allocation failure rolls back the tail fill and frees any new blocks, so
-// callers never leak cache space on ErrCacheFull.
+// callers never leak cache space on ErrCacheFull. The bytes are counted in
+// UsedBytes only once the whole chain is written.
 func (c *Cache) appendChain(orig Address, data []byte) (Address, error) {
 	written := 0
-	tailFilled := 0
-	var tailBuf *buffer
+	var tail *buffer // orig's last block, when data filled its spare room
 	tailBlk := -1
-	last := orig
-
-	rollback := func() {
-		// Free newly chained blocks (those after orig in the chain).
-		for a := last; a != orig && a != NilAddress; {
-			bi, blk, err := c.locate(a)
-			if err != nil {
-				break
-			}
-			c.mu.Lock()
-			b := c.buffers[bi]
-			c.mu.Unlock()
-			b.mu.Lock()
-			prev := b.meta[blk].prev
-			freed := int64(b.meta[blk].length)
-			b.mu.Unlock()
-			c.freeBlock(bi, blk)
-			c.addUsed(-freed)
-			a = prev
-		}
-		// Restore the original tail block's length.
-		if tailFilled > 0 && tailBuf != nil {
-			tailBuf.mu.Lock()
-			tailBuf.meta[tailBlk].length -= int32(tailFilled)
-			tailBuf.mu.Unlock()
-			c.addUsed(int64(-tailFilled))
-		}
-	}
 
 	// Fill the remaining capacity of the current last block first.
 	if orig != NilAddress {
-		bi, blk, err := c.locate(orig)
+		b, blk, err := c.block(orig)
 		if err != nil {
 			return NilAddress, err
 		}
-		c.mu.Lock()
-		b := c.buffers[bi]
-		c.mu.Unlock()
 		b.mu.Lock()
 		m := &b.meta[blk]
 		if !m.used {
 			b.mu.Unlock()
 			return NilAddress, ErrEntryDeleted
 		}
-		space := c.cfg.BlockSize - int(m.length)
-		if space > 0 {
-			n := space
-			if n > len(data) {
-				n = len(data)
-			}
+		if n := min(c.cfg.BlockSize-int(m.length), len(data)); n > 0 {
 			off := blk*c.cfg.BlockSize + int(m.length)
 			copy(b.data[off:off+n], data[:n])
 			m.length += int32(n)
 			written = n
-			tailFilled = n
-			tailBuf, tailBlk = b, blk
+			tail, tailBlk = b, blk
 		}
 		b.mu.Unlock()
-		c.addUsed(int64(written))
 	}
-	for written < len(data) || orig == NilAddress && written == 0 && len(data) == 0 {
-		bi, blk, err := c.allocBlock()
+	tailFilled := written
+	last := orig
+	for written < len(data) || last == NilAddress {
+		b, blk, err := c.allocBlock()
 		if err != nil {
-			rollback()
+			// The new blocks are this call's own and were never counted in
+			// UsedBytes, so neither the freed count nor an error (only a
+			// concurrent Delete of an entry being appended to could cause
+			// one) changes what the caller sees: ErrCacheFull.
+			_, _ = c.freeChain(last, orig)
+			if tail != nil {
+				tail.mu.Lock()
+				tail.meta[tailBlk].length -= int32(tailFilled)
+				tail.mu.Unlock()
+			}
 			return orig, err
 		}
-		c.mu.Lock()
-		b := c.buffers[bi]
-		c.mu.Unlock()
-		n := len(data) - written
-		if n > c.cfg.BlockSize {
-			n = c.cfg.BlockSize
-		}
+		n := min(len(data)-written, c.cfg.BlockSize)
 		b.mu.Lock()
-		m := &b.meta[blk]
-		m.prev = last
+		b.meta[blk].prev = last
+		b.meta[blk].length = int32(n)
 		copy(b.data[blk*c.cfg.BlockSize:], data[written:written+n])
-		m.length = int32(n)
 		b.mu.Unlock()
-		c.addUsed(int64(n))
 		written += n
-		last = c.addressOf(bi, blk)
-		if len(data) == 0 {
-			break
-		}
+		last = c.addressOf(b.idx, blk)
 	}
+	c.addUsed(int64(len(data)))
 	return last, nil
 }
 
@@ -307,48 +292,43 @@ func (c *Cache) addUsed(n int64) {
 	mUsedBytes.Add(n)
 }
 
-// Get reconstructs the entry whose last block is addr. The chain is walked
-// backwards via prev pointers, then reversed into a single buffer.
-func (c *Cache) Get(addr Address) ([]byte, error) {
-	if addr == NilAddress {
-		return nil, ErrBadAddress
+// ReadAt copies the bytes [off, off+len(dst)) of the entry whose last block
+// is addr into dst, clamped at entryLen, and returns how many it copied.
+// entryLen must be the entry's current length. The chain is walked backwards
+// from the last block and the walk stops at the first block that starts at
+// or before off, so a read near an entry's tail visits only the blocks it
+// copies from, however long the entry is.
+func (c *Cache) ReadAt(addr Address, entryLen, off int64, dst []byte) (int, error) {
+	if off < 0 || off > entryLen {
+		return 0, fmt.Errorf("blockcache: read at %d outside entry of length %d", off, entryLen)
 	}
-	type piece struct {
-		bufIdx, blockIdx int
-		length           int
-	}
-	var pieces []piece
-	total := 0
-	for a := addr; a != NilAddress; {
-		bi, blk, err := c.locate(a)
+	n := int(min(int64(len(dst)), entryLen-off))
+	end := entryLen // entry offset one past the current block's last byte
+	for a := addr; ; {
+		b, blk, err := c.block(a)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		c.mu.Lock()
-		b := c.buffers[bi]
-		c.mu.Unlock()
 		b.mu.Lock()
 		m := b.meta[blk]
-		b.mu.Unlock()
 		if !m.used {
-			return nil, ErrEntryDeleted
+			b.mu.Unlock()
+			return 0, ErrEntryDeleted
 		}
-		pieces = append(pieces, piece{bi, blk, int(m.length)})
-		total += int(m.length)
-		a = m.prev
-	}
-	out := make([]byte, total)
-	pos := total
-	for _, p := range pieces { // pieces are last→first; fill back to front
-		c.mu.Lock()
-		b := c.buffers[p.bufIdx]
-		c.mu.Unlock()
-		b.mu.Lock()
-		copy(out[pos-p.length:pos], b.data[p.blockIdx*c.cfg.BlockSize:p.blockIdx*c.cfg.BlockSize+p.length])
+		start := end - int64(m.length)
+		if lo, hi := max(start, off), min(end, off+int64(n)); lo < hi {
+			base := int64(blk*c.cfg.BlockSize) - start
+			copy(dst[lo-off:hi-off], b.data[base+lo:base+hi])
+		}
 		b.mu.Unlock()
-		pos -= p.length
+		if start <= off {
+			return n, nil
+		}
+		if m.prev == NilAddress {
+			return 0, fmt.Errorf("blockcache: entry at %v is shorter than %d bytes", addr, entryLen)
+		}
+		end, a = start, m.prev
 	}
-	return out, nil
 }
 
 // Delete frees every block of the entry at addr.
@@ -356,27 +336,9 @@ func (c *Cache) Delete(addr Address) error {
 	if addr == NilAddress {
 		return ErrBadAddress
 	}
-	var freed int64
-	for a := addr; a != NilAddress; {
-		bi, blk, err := c.locate(a)
-		if err != nil {
-			return err
-		}
-		c.mu.Lock()
-		b := c.buffers[bi]
-		c.mu.Unlock()
-		b.mu.Lock()
-		m := b.meta[blk]
-		b.mu.Unlock()
-		if !m.used {
-			return ErrEntryDeleted
-		}
-		freed += int64(m.length)
-		c.freeBlock(bi, blk)
-		a = m.prev
-	}
+	freed, err := c.freeChain(addr, NilAddress)
 	c.addUsed(-freed)
-	return nil
+	return err
 }
 
 // Stats describes cache occupancy.
@@ -402,9 +364,16 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
+// BufferBytes returns the size of one pre-allocated buffer, BlockSize ×
+// BlocksPerBuffer. An entry no longer than this spans at most
+// BlocksPerBuffer blocks, which bounds the chain walk of ReadAt.
+func (c *Cache) BufferBytes() int64 {
+	return int64(c.cfg.BlockSize) * int64(c.cfg.BlocksPerBuffer)
+}
+
 // MaxBytes returns the configured capacity in bytes.
 func (c *Cache) MaxBytes() int64 {
-	return int64(c.cfg.BlockSize) * int64(c.cfg.BlocksPerBuffer) * int64(c.cfg.MaxBuffers)
+	return c.BufferBytes() * int64(c.cfg.MaxBuffers)
 }
 
 func (a Address) String() string { return fmt.Sprintf("blk#%d", uint32(a)) }

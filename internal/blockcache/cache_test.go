@@ -14,6 +14,13 @@ func small() Config {
 	return Config{BlockSize: 64, BlocksPerBuffer: 8, MaxBuffers: 4}
 }
 
+// readAll reads a whole entry of length n.
+func readAll(c *Cache, addr Address, n int) ([]byte, error) {
+	dst := make([]byte, n)
+	got, err := c.ReadAt(addr, int64(n), 0, dst)
+	return dst[:got], err
+}
+
 func TestInsertGet(t *testing.T) {
 	c := New(small())
 	data := []byte("hello, cache")
@@ -21,9 +28,9 @@ func TestInsertGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get(addr)
+	got, err := readAll(c, addr, len(data))
 	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("Get = %q, %v", got, err)
+		t.Fatalf("ReadAt = %q, %v", got, err)
 	}
 }
 
@@ -34,9 +41,9 @@ func TestInsertSpanningBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get(addr)
+	got, err := readAll(c, addr, len(data))
 	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("multi-block Get mismatch: %d vs %d bytes, %v", len(got), len(data), err)
+		t.Fatalf("multi-block ReadAt mismatch: %d vs %d bytes, %v", len(got), len(data), err)
 	}
 }
 
@@ -56,7 +63,7 @@ func TestAppendExtendsEntry(t *testing.T) {
 		}
 		want = append(want, chunk...)
 	}
-	got, err := c.Get(addr)
+	got, err := readAll(c, addr, len(want))
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("appended entry mismatch (%d vs %d bytes, %v)", len(got), len(want), err)
 	}
@@ -87,8 +94,8 @@ func TestDeleteFreesBlocks(t *testing.T) {
 	if after.FreeBlocks <= before.FreeBlocks {
 		t.Fatal("blocks not returned to the free lists")
 	}
-	if _, err := c.Get(addr); !errors.Is(err, ErrEntryDeleted) {
-		t.Fatalf("Get after delete: %v", err)
+	if _, err := readAll(c, addr, len(data)); !errors.Is(err, ErrEntryDeleted) {
+		t.Fatalf("ReadAt after delete: %v", err)
 	}
 	if err := c.Delete(addr); !errors.Is(err, ErrEntryDeleted) {
 		t.Fatalf("double delete: %v", err)
@@ -127,9 +134,9 @@ func TestEmptyInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get(addr)
+	got, err := readAll(c, addr, 0)
 	if err != nil || len(got) != 0 {
-		t.Fatalf("empty entry Get = %q, %v", got, err)
+		t.Fatalf("empty entry ReadAt = %q, %v", got, err)
 	}
 	if err := c.Delete(addr); err != nil {
 		t.Fatal(err)
@@ -138,11 +145,11 @@ func TestEmptyInsert(t *testing.T) {
 
 func TestBadAddresses(t *testing.T) {
 	c := New(small())
-	if _, err := c.Get(NilAddress); !errors.Is(err, ErrBadAddress) {
-		t.Fatalf("Get(nil): %v", err)
+	if _, err := c.ReadAt(NilAddress, 0, 0, nil); !errors.Is(err, ErrBadAddress) {
+		t.Fatalf("ReadAt(nil): %v", err)
 	}
-	if _, err := c.Get(Address(9999)); !errors.Is(err, ErrBadAddress) {
-		t.Fatalf("Get(out of range): %v", err)
+	if _, err := c.ReadAt(Address(9999), 0, 0, nil); !errors.Is(err, ErrBadAddress) {
+		t.Fatalf("ReadAt(out of range): %v", err)
 	}
 }
 
@@ -169,7 +176,7 @@ func TestConcurrentEntries(t *testing.T) {
 					errs <- err
 					return
 				}
-				got, err := c.Get(addr)
+				got, err := readAll(c, addr, len(data))
 				if err != nil || !bytes.Equal(got, data) {
 					errs <- fmt.Errorf("worker %d: corrupt read (%v)", w, err)
 					return
@@ -226,7 +233,7 @@ func TestAllocFreeInvariantProperty(t *testing.T) {
 				addr, err := c.Append(entries[i].addr, data)
 				if errors.Is(err, ErrCacheFull) {
 					// Atomic failure: the entry must be untouched.
-					got, gerr := c.Get(entries[i].addr)
+					got, gerr := readAll(c, entries[i].addr, len(entries[i].data))
 					if gerr != nil || !bytes.Equal(got, entries[i].data) {
 						return false
 					}
@@ -248,7 +255,7 @@ func TestAllocFreeInvariantProperty(t *testing.T) {
 			}
 		}
 		for _, e := range entries {
-			got, err := c.Get(e.addr)
+			got, err := readAll(c, e.addr, len(e.data))
 			if err != nil || !bytes.Equal(got, e.data) {
 				return false
 			}
@@ -261,5 +268,93 @@ func TestAllocFreeInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadAtRangesProperty: after random inserts and appends, ReadAt at
+// random offsets and lengths returns exactly the reference bytes. Ranges
+// cross block boundaries, run past the entry's end (clamped to entryLen)
+// and include zero-length reads; a deleted entry reports ErrEntryDeleted.
+func TestReadAtRangesProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		c := New(Config{BlockSize: 16, BlocksPerBuffer: 32, MaxBuffers: 8})
+		type live struct {
+			addr Address
+			data []byte
+		}
+		var entries []live
+		for op := 0; op < 60; op++ {
+			data := make([]byte, rng.Intn(50))
+			rng.Read(data)
+			if len(entries) == 0 || rng.Intn(3) == 0 {
+				addr, err := c.Insert(data)
+				if errors.Is(err, ErrCacheFull) {
+					break
+				}
+				if err != nil {
+					return false
+				}
+				entries = append(entries, live{addr, data})
+				continue
+			}
+			e := &entries[rng.Intn(len(entries))]
+			addr, err := c.Append(e.addr, data)
+			if errors.Is(err, ErrCacheFull) {
+				break
+			}
+			if err != nil {
+				return false
+			}
+			e.addr, e.data = addr, append(e.data, data...)
+		}
+		for _, e := range entries {
+			size := int64(len(e.data))
+			for r := 0; r < 20; r++ {
+				off := rng.Int63n(size + 1)
+				dst := make([]byte, rng.Intn(int(size)+8)) // may run past the end
+				if r == 0 {
+					dst = nil
+				}
+				n, err := c.ReadAt(e.addr, size, off, dst)
+				want := e.data[off:min(off+int64(len(dst)), size)]
+				if err != nil || n != len(want) || !bytes.Equal(dst[:n], want) {
+					t.Logf("seed %d: ReadAt(off %d, len %d) of %d bytes = %d, %v", seed, off, len(dst), size, n, err)
+					return false
+				}
+			}
+		}
+		for _, e := range entries {
+			if err := c.Delete(e.addr); err != nil {
+				return false
+			}
+			if _, err := c.ReadAt(e.addr, int64(len(e.data)), 0, make([]byte, 1)); !errors.Is(err, ErrEntryDeleted) {
+				return false
+			}
+			if _, err := c.ReadAt(e.addr, int64(len(e.data)), 0, nil); !errors.Is(err, ErrEntryDeleted) {
+				return false
+			}
+		}
+		return c.Stats().UsedBytes == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestReadAtRejectsOffsetOutsideEntry(t *testing.T) {
+	c := New(small())
+	addr, err := c.Insert([]byte("0123456789"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{-1, 11} {
+		if _, err := c.ReadAt(addr, 10, off, make([]byte, 4)); err == nil {
+			t.Fatalf("ReadAt(off %d) of a 10-byte entry succeeded", off)
+		}
+	}
+	// An entryLen longer than the chain is reported, not read as zeros.
+	if _, err := c.ReadAt(addr, 100, 0, make([]byte, 100)); err == nil {
+		t.Fatal("ReadAt past the chain's first block succeeded")
 	}
 }

@@ -450,7 +450,11 @@ func (c *Container) applyWriterAttrLocked(s *segState, op *Operation) {
 // both per frame instead of per operation.
 func (c *Container) applyAppendLocked(s *segState, op *Operation, addr wal.Address) {
 	dataLen := int64(len(op.Data))
-	if tail, ok := s.index.TailEntry(); ok && tail.Where == readindex.InCache && tail.End() == op.Offset {
+	// The tail entry grows only up to one cache buffer's worth: that bounds
+	// the chain walk of a cache read, and lets the tiered prefix of a
+	// segment still being written be evicted (the tail entry never is).
+	if tail, ok := s.index.TailEntry(); ok && tail.Where == readindex.InCache && tail.End() == op.Offset &&
+		tail.Length+dataLen <= c.cache.BufferBytes() {
 		if newAddr, err := c.cache.Append(tail.CacheAddr, op.Data); err == nil {
 			s.index.ExtendTail(dataLen, newAddr)
 		} else {

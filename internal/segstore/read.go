@@ -131,27 +131,22 @@ func (c *Container) readAvailable(s *segState, offset int64, maxBytes int) (Read
 	mReadLookups.Inc()
 	entry, err := s.index.Find(offset)
 	if err == nil && entry.Where == readindex.InCache {
-		data, cerr := c.cache.Get(entry.CacheAddr)
+		data, cerr := c.readCached(s, entry, offset, maxBytes)
 		if cerr != nil {
 			// The cache entry raced with eviction: the evictor replaces the
 			// index entry with an InLTS record before deleting the block, so
 			// one retry of the lookup observes the post-eviction location.
 			entry, err = s.index.Find(offset)
 			if err == nil && entry.Where == readindex.InCache {
-				data, cerr = c.cache.Get(entry.CacheAddr)
+				data, cerr = c.readCached(s, entry, offset, maxBytes)
 			} else {
 				cerr = fmt.Errorf("segstore: cache entry evicted during read")
 			}
 		}
 		if cerr == nil {
 			mCacheHits.Inc()
-			from := offset - entry.Offset
-			to := from + int64(maxBytes)
-			if to > int64(len(data)) {
-				to = int64(len(data))
-			}
 			c.mu.Unlock()
-			return ReadResult{Data: data[from:to:to], Offset: offset}, nil
+			return ReadResult{Data: data, Offset: offset}, nil
 		}
 	}
 	mCacheMisses.Inc()
@@ -179,6 +174,33 @@ func (c *Container) readAvailable(s *segState, offset int64, maxBytes int) (Read
 		return ReadResult{}, fmt.Errorf("%w: %s@%d: %v", ErrNoReadSource, name, offset, err)
 	}
 	return ReadResult{}, fmt.Errorf("%w: %s@%d: read raced with state change", ErrNoReadSource, name, offset)
+}
+
+// readCached copies up to maxBytes from offset out of the cache, starting in
+// entry (the cached entry that contains offset) and going on into the cached
+// entries after it, so an entry boundary does not cut a read short. Only the
+// requested range is copied: a tail read costs the same however long its
+// entry has grown. The caller holds c.mu. It fails only when entry itself
+// cannot be read.
+func (c *Container) readCached(s *segState, entry readindex.Entry, offset int64, maxBytes int) ([]byte, error) {
+	buf := make([]byte, maxBytes)
+	n := 0
+	for {
+		got, err := c.cache.ReadAt(entry.CacheAddr, entry.Length, offset+int64(n)-entry.Offset, buf[n:])
+		if err != nil && n == 0 {
+			return nil, err
+		}
+		n += got
+		if err != nil || n == maxBytes {
+			return buf[:n:n], nil
+		}
+		mReadLookups.Inc()
+		next, ferr := s.index.Find(entry.End())
+		if ferr != nil || next.Where != readindex.InCache {
+			return buf[:n:n], nil
+		}
+		entry = next
+	}
 }
 
 // chunkRead is one chunk's share of a scatter-gather read: n bytes from

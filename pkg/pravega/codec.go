@@ -20,6 +20,27 @@ func appendEventFrame(dst, event []byte) []byte {
 // eventFrameSize returns the on-segment size of one event.
 func eventFrameSize(event []byte) int { return 4 + len(event) }
 
+// joinFrame moves from the head of more onto the end of buf the bytes that
+// complete buf's first frame, or all of more when that is not enough. Only
+// those bytes are copied: when buf is empty, more simply becomes buf.
+func joinFrame(buf, more []byte) (joined, rest []byte) {
+	if len(buf) == 0 {
+		return more, nil
+	}
+	need := 4 - len(buf) // header bytes still missing
+	if need <= 0 {
+		need = 4 + int(binary.BigEndian.Uint32(buf)) - len(buf)
+	} else if need <= len(more) {
+		var hdr [4]byte
+		copy(hdr[copy(hdr[:], buf):], more)
+		need += int(binary.BigEndian.Uint32(hdr[:]))
+	}
+	need = min(need, len(more))
+	joined = make([]byte, len(buf)+need)
+	copy(joined[copy(joined, buf):], more[:need])
+	return joined, more[need:]
+}
+
 // decodeEventFrame extracts the first complete event from buf, returning
 // the event, the remaining buffer, and whether a complete frame was
 // present.

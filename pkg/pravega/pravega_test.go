@@ -240,10 +240,10 @@ func TestReaderGroupSharesSegments(t *testing.T) {
 	// between them (readers release surplus segments when the group grows).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err := r1.rebalance(); err != nil {
+		if _, err := r1.rebalance(); err != nil {
 			t.Fatal(err)
 		}
-		if err := r2.rebalance(); err != nil {
+		if _, err := r2.rebalance(); err != nil {
 			t.Fatal(err)
 		}
 		assigned, unassigned, _ := rg.snapshot()

@@ -16,9 +16,10 @@ var ErrNoEvent = errors.New("pravega: no event within timeout")
 
 // Event is one consumed stream event.
 type Event struct {
-	// Data is the event payload. It aliases the reader's internal fetch
-	// buffer: it stays valid indefinitely, but callers that modify it in
-	// place should copy it first.
+	// Data is the event payload. It aliases the fetch result it was read
+	// from, which an in-process deployment may share with other readers:
+	// it stays valid indefinitely, but callers that modify it in place
+	// must copy it first.
 	Data []byte
 	// Stream is the stream the event came from (reader groups may span
 	// several streams).
@@ -55,8 +56,9 @@ type ownedSegment struct {
 	rec    rgSegment
 	offset int64 // next segment offset to fetch
 	buf    []byte
-	bufAt  int64 // segment offset of buf[0]
-	fetch  int   // adaptive fetch size (catch-up escalation)
+	more   []byte // fetched bytes that follow buf, not yet joined to it
+	bufAt  int64  // segment offset of buf[0]
+	fetch  int    // adaptive fetch size (catch-up escalation)
 
 	// Catch-up pipelining: at most one outstanding async fetch per owned
 	// segment, issued while buffered events drain, so the next batch is in
@@ -93,14 +95,22 @@ func (rg *ReaderGroup) NewReader(name string) (*Reader, error) {
 }
 
 // rebalance refreshes group state and acquires segments up to the fair
-// share. It also reconciles the local owned set with the group's view.
-func (r *Reader) rebalance() error {
+// share. It also reconciles the local owned set with the group's view. It
+// returns the synchronizer revision the pass fully acted on: the revision
+// its decisions were based on, advanced past its own updates only when no
+// other reader's update landed during the pass. Another reader's release,
+// or an acquire that beat ours, leaves the returned revision behind the
+// group's, so the next maybeRebalance runs another pass.
+func (r *Reader) rebalance() (int64, error) {
 	if err := r.rg.sync.Fetch(); err != nil {
-		return err
+		return 0, err
 	}
+	// Read the revision before the snapshot: an update another goroutine
+	// applies in between is then counted as foreign, never hidden.
+	base := r.rg.sync.Updates()
 	assigned, unassigned, readers := r.rg.snapshot()
 	if readers == 0 {
-		return nil
+		return base, nil
 	}
 	// Drop segments no longer ours (released or reassigned).
 	r.mu.Lock()
@@ -140,9 +150,10 @@ func (r *Reader) rebalance() error {
 		}
 	}
 	r.mu.Unlock()
+	own := int64(0) // updates this pass appended
 	for _, rel := range release {
 		rel := rel
-		err := r.rg.sync.Update(func() ([]byte, error) {
+		ok, err := r.update(func() ([]byte, error) {
 			r.rg.mu.Lock()
 			ownedByMe := r.rg.state.assigned[rel.qn] == r.name
 			r.rg.mu.Unlock()
@@ -152,13 +163,16 @@ func (r *Reader) rebalance() error {
 			return json.Marshal(rgUpdate{Op: "release", Reader: r.name, Segment: rel.qn, Offset: rel.off})
 		})
 		if err != nil {
-			return err
+			return 0, err
+		}
+		if ok {
+			own++
 		}
 	}
 
 	for i := 0; i < len(unassigned) && want > 0; i++ {
 		qn := unassigned[i]
-		err := r.rg.sync.Update(func() ([]byte, error) {
+		ok, err := r.update(func() ([]byte, error) {
 			r.rg.mu.Lock()
 			free := r.rg.state.unassigned[qn]
 			r.rg.mu.Unlock()
@@ -168,9 +182,16 @@ func (r *Reader) rebalance() error {
 			return json.Marshal(rgUpdate{Op: "acquire", Reader: r.name, Segment: qn})
 		})
 		if err != nil {
-			return err
+			return 0, err
 		}
-		want--
+		if ok { // an acquire lost to another reader does not count
+			own++
+			want--
+		}
+	}
+	rev := base
+	if after := r.rg.sync.Updates(); after == base+own {
+		rev = after
 	}
 
 	// Adopt newly acquired segments.
@@ -193,7 +214,20 @@ func (r *Reader) rebalance() error {
 		r.rr = append(r.rr, qn)
 	}
 	r.mu.Unlock()
-	return nil
+	return rev, nil
+}
+
+// update runs one conditional group-state update and reports whether it
+// appended one: gen declines (returns nil) once the state no longer needs
+// the change.
+func (r *Reader) update(gen func() ([]byte, error)) (bool, error) {
+	appended := false
+	err := r.rg.sync.Update(func() ([]byte, error) {
+		u, err := gen()
+		appended = u != nil && err == nil
+		return u, err
+	})
+	return appended && err == nil, err
 }
 
 // maybeRebalance refreshes group state once the sync window has elapsed (or
@@ -222,13 +256,11 @@ func (r *Reader) maybeRebalance() error {
 		mClientRebalancesSkipped.Inc()
 		return nil
 	}
-	if err := r.rebalance(); err != nil {
+	rev, err := r.rebalance()
+	if err != nil {
 		return convertErr(err)
 	}
 	mClientRebalances.Inc()
-	// Cache the revision after our own acquire/release updates so they do
-	// not trigger the next pass.
-	rev = r.rg.sync.Updates()
 	r.mu.Lock()
 	r.lastRev = rev
 	r.lastSync = time.Now()
@@ -342,15 +374,19 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // popBuffered returns the first complete buffered event across owned
-// segments. The event's Data slices the segment's fetch buffer directly —
-// no per-event copy. That is safe because the buffer only ever grows at
-// its end: handed-out events occupy positions strictly before the
-// remainder that later appends extend.
+// segments. The event's Data slices a fetch result directly — no
+// per-event copy. That is safe because fetch results are never written
+// after they arrive: an event that spans two of them is joined into a
+// buffer of its own.
 func (r *Reader) popBuffered() (Event, bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, seg := range r.owned {
 		ev, rest, ok, err := decodeEventFrame(seg.buf)
+		if !ok && err == nil && len(seg.more) > 0 {
+			seg.buf, seg.more = joinFrame(seg.buf, seg.more)
+			ev, rest, ok, err = decodeEventFrame(seg.buf)
+		}
 		if err != nil {
 			return Event{}, false, err
 		}
@@ -370,7 +406,7 @@ func (r *Reader) popBuffered() (Event, bool, error) {
 		// Keep the pipeline primed: when this segment is in catch-up mode
 		// and its buffer is running dry, start the next fetch now so it
 		// overlaps with the caller consuming this event.
-		if !seg.inflight && seg.fetch > r.fetchBytes && len(seg.buf) < seg.fetch/2 {
+		if !seg.inflight && seg.fetch > r.fetchBytes && len(seg.buf)+len(seg.more) < seg.fetch/2 {
 			r.startPrefetchLocked(seg)
 		}
 		return out, true, nil
@@ -497,7 +533,7 @@ func (r *Reader) applyFetch(qn string, fr fetchResult) error {
 		r.mu.Lock()
 		if seg, ok := r.owned[qn]; ok && seg.offset < info.StartOffset {
 			seg.offset = info.StartOffset
-			seg.buf = nil
+			seg.buf, seg.more = nil, nil
 			seg.bufAt = info.StartOffset
 		}
 		r.mu.Unlock()
@@ -518,7 +554,8 @@ func (r *Reader) applyFetch(qn string, fr fetchResult) error {
 		if err := r.rg.completeSegment(rec); err != nil {
 			return convertErr(err)
 		}
-		return convertErr(r.rebalance())
+		_, err := r.rebalance()
+		return convertErr(err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -540,7 +577,16 @@ func (r *Reader) applyFetch(qn string, fr fetchResult) error {
 		seg.fetch = r.fetchBytes
 	}
 	if len(fr.res.Data) > 0 {
-		seg.buf = append(seg.buf, fr.res.Data...)
+		// The result is kept as it is rather than copied onto the end of
+		// buf: popBuffered copies only the one frame that spans the two.
+		switch {
+		case len(seg.buf) == 0 && len(seg.more) == 0:
+			seg.buf = fr.res.Data
+		case len(seg.more) == 0:
+			seg.more = fr.res.Data
+		default: // copies: more may alias an earlier result
+			seg.more = append(seg.more[:len(seg.more):len(seg.more)], fr.res.Data...)
+		}
 		seg.offset += int64(len(fr.res.Data))
 		if full && !seg.inflight {
 			// Catch-up pipelining: the next batch is fetched while the
@@ -551,7 +597,9 @@ func (r *Reader) applyFetch(qn string, fr fetchResult) error {
 	return nil
 }
 
-// Close releases the reader's segments back to the group.
+// Close leaves the group and releases the reader's segments back to it, in
+// one update: each segment is read on from the reader's first unconsumed
+// byte (buffered bytes are re-read by the next owner).
 func (r *Reader) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -559,27 +607,21 @@ func (r *Reader) Close() error {
 		return nil
 	}
 	r.closed = true
-	owned := make(map[string]int64, len(r.owned))
+	offsets := make(map[string]int64, len(r.owned))
 	for qn, seg := range r.owned {
-		owned[qn] = seg.bufAt // unconsumed buffered bytes re-read later
+		offsets[qn] = seg.bufAt
 	}
 	r.mu.Unlock()
-	for qn, off := range owned {
-		qn, off := qn, off
-		err := r.rg.sync.Update(func() ([]byte, error) {
-			return json.Marshal(rgUpdate{Op: "release", Reader: r.name, Segment: qn, Offset: off})
-		})
-		if err != nil {
-			return err
-		}
-	}
 	return r.rg.sync.Update(func() ([]byte, error) {
 		r.rg.mu.Lock()
-		member := r.rg.state.readers[r.name]
+		held := r.rg.state.readers[r.name]
+		for _, owner := range r.rg.state.assigned {
+			held = held || owner == r.name
+		}
 		r.rg.mu.Unlock()
-		if !member {
+		if !held {
 			return nil, nil
 		}
-		return json.Marshal(rgUpdate{Op: "removeReader", Reader: r.name})
+		return json.Marshal(rgUpdate{Op: "removeReader", Reader: r.name, Offsets: offsets})
 	})
 }

@@ -49,6 +49,9 @@ type rgUpdate struct {
 	Segment  string      `json:"segment,omitempty"` // qualified name
 	Offset   int64       `json:"offset,omitempty"`
 	Segments []rgSegment `json:"segments,omitempty"`
+	// Offsets carries, on removeReader, where the leaving reader stopped
+	// in each segment it held.
+	Offsets map[string]int64 `json:"offsets,omitempty"`
 }
 
 // rgState is the deterministic replicated state.
@@ -178,8 +181,7 @@ func (rg *ReaderGroup) apply(update []byte) {
 		delete(st.readers, u.Reader)
 		for seg, r := range st.assigned {
 			if r == u.Reader {
-				delete(st.assigned, seg)
-				st.unassigned[seg] = true
+				st.release(seg, u.Offsets[seg])
 			}
 		}
 	case "acquire":
@@ -189,13 +191,7 @@ func (rg *ReaderGroup) apply(update []byte) {
 		}
 	case "release":
 		if st.assigned[u.Segment] == u.Reader {
-			delete(st.assigned, u.Segment)
-			info := st.segInfo[u.Segment]
-			if u.Offset > info.StartOffset {
-				info.StartOffset = u.Offset
-				st.segInfo[u.Segment] = info
-			}
-			st.unassigned[u.Segment] = true
+			st.release(u.Segment, u.Offset)
 		}
 	case "complete":
 		if st.completed[u.Segment] {
@@ -228,6 +224,17 @@ func (rg *ReaderGroup) apply(update []byte) {
 			}
 		}
 	}
+}
+
+// release makes an assigned segment unassigned, to be read on from offset
+// when that is past its recorded start.
+func (st *rgState) release(seg string, offset int64) {
+	delete(st.assigned, seg)
+	if info := st.segInfo[seg]; offset > info.StartOffset {
+		info.StartOffset = offset
+		st.segInfo[seg] = info
+	}
+	st.unassigned[seg] = true
 }
 
 // snapshot returns copies of the assignment view (under the group lock).
